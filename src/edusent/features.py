@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -50,6 +51,16 @@ class SparseVector:
         for i, w in self.pairs:
             out[i] = w
         return out
+
+
+def pack_rows(X: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, values) of sparse rows: row i holds
+    indices[indptr[i]:indptr[i+1]] with their values, in pair order."""
+    lengths = np.fromiter((len(x.pairs) for x in X), dtype=np.int64, count=len(X))
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(x.pairs for x in X)),
+                       dtype=np.float64, count=2 * int(indptr[-1])).reshape(-1, 2)
+    return indptr, flat[:, 0].astype(np.int64), flat[:, 1].copy()
 
 
 @dataclass

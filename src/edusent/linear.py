@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .features import SparseVector
+from .features import SparseVector, pack_rows
 from .ingest import SentimentLabel
 
 
@@ -66,23 +66,40 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _pack(X: Sequence[SparseVector], dim: int):
-    """Flatten sparse rows into CSR-style arrays for vectorized math."""
-    indptr = np.zeros(len(X) + 1, dtype=np.int64)
-    for i, x in enumerate(X):
-        if x.pairs and x.pairs[-1][0] >= dim:
-            raise ValidationError(
-                f"feature index {x.pairs[-1][0]} exceeds model dimension {dim}"
-            )
-        indptr[i + 1] = indptr[i] + len(x.pairs)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    values = np.empty(indptr[-1], dtype=np.float64)
-    for i, x in enumerate(X):
-        for j, (idx, w) in enumerate(x.pairs):
-            indices[indptr[i] + j] = idx
-            values[indptr[i] + j] = w
+@dataclass
+class _Packed:
+    """Training rows as CSR-style arrays, with each entry's row and the 0/1 labels."""
+
+    indices: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
+    y: np.ndarray
+
+
+def _pack(X: Sequence[SparseVector], y: Sequence[SentimentLabel], dim: int) -> _Packed:
+    indptr, indices, values = pack_rows(X)
+    if indices.size and indices.max() >= dim:
+        raise ValidationError(
+            f"feature index {indices.max()} exceeds model dimension {dim}")
     rows = np.repeat(np.arange(len(X)), np.diff(indptr))
-    return indices, values, rows
+    return _Packed(indices, values, rows, np.array([float(int(lab)) for lab in y]))
+
+
+def _logits(d: _Packed, w: np.ndarray, b: float) -> np.ndarray:
+    # bincount sums each row's products in entry order
+    return np.bincount(d.rows, weights=d.values * w[d.indices], minlength=len(d.y)) + b
+
+
+def _objective(d: _Packed, w: np.ndarray, b: float, l2: float) -> float:
+    z = _logits(d, w, b)
+    return float(np.mean(_softplus(z) - d.y * z)) + 0.5 * l2 * float(w @ w)
+
+
+def _gradient(d: _Packed, w: np.ndarray, b: float, l2: float) -> tuple[np.ndarray, float]:
+    resid = (sigmoid(_logits(d, w, b)) - d.y) / len(d.y)
+    gw = np.bincount(d.indices, weights=d.values * resid[d.rows], minlength=w.shape[0])
+    gw += l2 * w
+    return gw, float(np.sum(resid))
 
 
 def lr_objective(
@@ -93,12 +110,7 @@ def lr_objective(
     l2: float,
 ) -> float:
     """Mean BCE + (l2/2)*||w||^2 at (w, b), computed from logits stably."""
-    indices, values, rows = _pack(X, w.shape[0])
-    yv = np.array([float(int(lab)) for lab in y])
-    z = np.zeros(len(X))
-    np.add.at(z, rows, values * w[indices])
-    z += b
-    return float(np.mean(_softplus(z) - yv * z)) + 0.5 * l2 * float(w @ w)
+    return _objective(_pack(X, y, w.shape[0]), w, b, l2)
 
 
 def lr_gradient(
@@ -110,15 +122,7 @@ def lr_gradient(
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of lr_objective: mean (sigma(z) - y) x + l2 w, and the
     bias part mean (sigma(z) - y)."""
-    indices, values, rows = _pack(X, w.shape[0])
-    yv = np.array([float(int(lab)) for lab in y])
-    z = np.zeros(len(X))
-    np.add.at(z, rows, values * w[indices])
-    resid = (sigmoid(z + b) - yv) / len(X)
-    gw = np.zeros(w.shape[0])
-    np.add.at(gw, indices, values * resid[rows])
-    gw += l2 * w
-    return gw, float(np.sum(resid))
+    return _gradient(_pack(X, y, w.shape[0]), w, b, l2)
 
 
 def train_lr(
@@ -149,26 +153,7 @@ def train_lr(
         raise ValidationError(
             f"initial model dimension {initial.dim} does not match {dim}")
 
-    indices, values, rows = _pack(X, dim)
-    n = len(X)
-    yv = np.array([float(int(lab)) for lab in y])
-
-    def logits(w, b):
-        z = np.zeros(n)
-        np.add.at(z, rows, values * w[indices])
-        return z + b
-
-    def objective(w, b):
-        z = logits(w, b)
-        bce = float(np.mean(_softplus(z) - yv * z))
-        return bce + 0.5 * cfg.l2 * float(w @ w)
-
-    def gradient(w, b):
-        resid = (sigmoid(logits(w, b)) - yv) / n
-        gw = np.zeros(dim)
-        np.add.at(gw, indices, values * resid[rows])
-        gw += cfg.l2 * w
-        return gw, float(np.sum(resid))
+    data = _pack(X, y, dim)
 
     if initial is not None:
         w = initial.weights.copy()
@@ -177,14 +162,14 @@ def train_lr(
         w = np.zeros(dim)
         b = 0.0
     lr = cfg.learning_rate
-    loss = objective(w, b)
+    loss = _objective(data, w, b, cfg.l2)
     history = [loss]
     for _ in range(cfg.epochs):
-        gw, gb = gradient(w, b)
+        gw, gb = _gradient(data, w, b, cfg.l2)
         for _attempt in range(64):
             w_new = w - lr * gw
             b_new = b - lr * gb
-            new_loss = objective(w_new, b_new)
+            new_loss = _objective(data, w_new, b_new, cfg.l2)
             if new_loss <= loss + 1e-9:
                 break
             lr *= 0.5

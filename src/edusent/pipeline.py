@@ -20,7 +20,6 @@ import numpy as np
 from .config import PipelineConfig, column_schema
 from .errors import SchemaError, ValidationError
 from .features import (
-    SparseVector,
     TfidfModel,
     build_vocabulary,
     chi2_scores,
@@ -40,7 +39,7 @@ from .ingest import (
     split,
 )
 from .neural import SequenceDataset, encode_tokens
-from .resample import SmoteConfig, class_weights, smote
+from .resample import SmoteConfig, class_weights, minority_gap, smote_sparse
 from .textprep import LemmaRuleTable, StopwordList, preprocess
 
 BUNDLE_FILES = (
@@ -129,7 +128,7 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
     with (out / "chi2_report.csv").open("w", encoding="utf-8") as fh:
         fh.write("term,score\n")
         for i in order:
-            fh.write(f"{vocab_full.terms[i]},{scores.score[i]!r}\n")
+            fh.write(f"{vocab_full.terms[i]},{float(scores.score[i])!r}\n")
 
     write_json(out / "split.json", {
         "version": 1, "seed": cfg.seed, "fraction": cfg.fraction,
@@ -192,29 +191,20 @@ def tfidf_rows(bundle: Bundle, ids: Sequence[int]) -> list:
     return [tfidf_transform(bundle.tfidf, bundle.examples[i].tokens) for i in ids]
 
 
-def sparse_from_dense(vec: np.ndarray) -> SparseVector:
-    pairs = [(int(i), float(v)) for i, v in enumerate(vec) if v != 0.0]
-    return SparseVector(pairs=pairs)
-
-
 def balance_sparse(
     X: list,
     y: list,
     dim: int,
     cfg: SmoteConfig,
 ) -> tuple[list, list]:
-    """balance_to_parity for sparse rows: only the minority gets densified."""
-    n_pos = sum(1 for lab in y if lab == SentimentLabel.POSITIVE)
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("balancing needs both classes present")
-    if n_pos == n_neg:
+    """balance_to_parity for sparse rows of width `dim`; the synthetic rows
+    are sparse too."""
+    minority_label, n_new = minority_gap(y)
+    if n_new == 0:
         return list(X), list(y)
-    minority_label = SentimentLabel.NEGATIVE if n_neg < n_pos else SentimentLabel.POSITIVE
-    minority = np.stack([x.to_dense(dim) for x, lab in zip(X, y) if lab == minority_label])
-    synth = smote(minority, abs(n_pos - n_neg), cfg)
-    X_out = list(X) + [sparse_from_dense(s.vector) for s in synth]
-    y_out = list(y) + [minority_label] * len(synth)
+    minority = [x for x, lab in zip(X, y) if lab == minority_label]
+    X_out = list(X) + smote_sparse(minority, n_new, cfg, dim)
+    y_out = list(y) + [minority_label] * n_new
     return X_out, y_out
 
 

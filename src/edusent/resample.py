@@ -1,4 +1,4 @@
-"""Class balancing: SMOTE in dense feature space, class weights for the RNN.
+"""Class balancing: SMOTE on feature rows, class weights for the RNN.
 
 SMOTE interpolates synthetic minority points between a parent and one of its
 k nearest minority neighbors. The linear model trains on the balanced set;
@@ -14,7 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .features import SparseVector, pack_rows
 from .ingest import SentimentLabel
+
+
+#: rows per block of a distance matrix or of densified rows
+_CHUNK_ROWS = 512
 
 
 @dataclass
@@ -35,25 +40,122 @@ class SyntheticSample:
     lam: float
 
 
-def _neighbor_table(minority: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
-    """Indices of each row's k nearest Euclidean neighbors, excluding itself.
+def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the CSR entries of `rows` in turn: the position in `rows` each
+    entry belongs to, and the entry's position in the CSR arrays."""
+    counts = np.diff(indptr)[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    at = (np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+          + np.repeat(indptr[rows], counts))
+    return owner, at
 
-    Distance ties break on the smaller row index so the table is stable.
-    Works in row chunks to keep the distance matrix memory bounded.
+
+def _neighbor_table(
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sq: np.ndarray,
+    k: int,
+    n_parents: int,
+    chunk: int = _CHUNK_ROWS,
+    max_pairs: int = 1 << 22,
+) -> np.ndarray:
+    """Indices of the k nearest Euclidean neighbors of rows 0..n_parents-1
+    among all rows of `csr` (CSR arrays, see `pack_rows`), excluding the row
+    itself; `sq` holds every row's squared norm.
+
+    The squared distance is sq_i + sq_j - 2 g_ij, clamped at zero, where the
+    Gram entry g_ij sums the products of the terms rows i and j share, in
+    term order. Distance ties break on the smaller row index so the table is
+    stable. Works in chunks of at most `chunk` rows and about `max_pairs`
+    shared-term products to keep memory bounded.
     """
-    n = minority.shape[0]
-    sq = np.sum(minority * minority, axis=1)
-    table = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, chunk):
-        rows = minority[start:start + chunk]
-        d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * (rows @ minority.T)
+    indptr, indices, values = csr
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # term -> the rows holding it, in row order (CSC)
+    by_term = np.argsort(indices, kind="stable")
+    term_rows, term_vals = rows[by_term], values[by_term]
+    df = np.bincount(indices, minlength=1)
+    term_ptr = np.concatenate(([0], np.cumsum(df)))
+    # products each row takes part in, cumulated over rows
+    row_cost = np.concatenate(([0], np.cumsum(df[indices])))[indptr]
+
+    table = np.empty((n_parents, k), dtype=np.int64)
+    start = 0
+    while start < n_parents:
+        budget = np.searchsorted(row_cost, row_cost[start] + max_pairs, side="right") - 1
+        stop = min(n_parents, start + chunk, max(start + 1, int(budget)))
+        lo, hi = indptr[start], indptr[stop]
+        entry, at = _gather(term_ptr, indices[lo:hi])
+        m = stop - start
+        gram = np.bincount((rows[lo:hi][entry] - start) * n + term_rows[at],
+                           weights=values[lo:hi][entry] * term_vals[at],
+                           minlength=m * n).reshape(m, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
         np.maximum(d2, 0.0, out=d2)
-        for i in range(d2.shape[0]):
-            d2[i, start + i] = np.inf
-        tie = np.broadcast_to(np.arange(n), d2.shape)
-        order = np.lexsort((tie, d2), axis=1)
-        table[start:start + chunk] = order[:, :k]
+        d2[np.arange(m), np.arange(start, stop)] = np.inf
+        table[start:stop] = _k_smallest(d2, k)
+        start = stop
     return table
+
+
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the column indices of the k smallest values in ascending
+    order, equal values by ascending column: the first k columns of
+    `np.lexsort((columns, d2), axis=1)`, without sorting whole rows."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    tied = d2 == kth
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    take = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _dense_sq_norms(csr: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int) -> np.ndarray:
+    """np.sum(row * row) over each row made dense: pairwise summation groups
+    the terms by position, so summing only the non-zeros can change the last
+    bit, and those bits decide distance ties. Dense and sparse rows must give
+    the same neighbor table."""
+    indptr, indices, values = csr
+    n = len(indptr) - 1
+    sq = np.empty(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(n, start + _CHUNK_ROWS)
+        lo, hi = indptr[start], indptr[stop]
+        block = np.zeros((stop - start, dim))
+        block[np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1])),
+              indices[lo:hi]] = values[lo:hi]
+        sq[start:stop] = np.sum(block * block, axis=1)
+    return sq
+
+
+def _draws(
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sq: np.ndarray,
+    n_new: int,
+    cfg: SmoteConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(parent, neighbor, lam) per synthetic sample.
+
+    Parents cycle round-robin through the minority set, so only the first
+    min(n, n_new) rows need a neighbor table row; per sample, the neighbor
+    is drawn uniformly among the parent's min(k_neighbors, n-1) nearest
+    neighbors, then the interpolation factor from Uniform[0, 1].
+    """
+    n = len(sq)
+    if n < 2:
+        raise ValidationError("SMOTE requires >= 2 minority samples")
+    k = min(cfg.k_neighbors, n - 1)
+    neighbors = _neighbor_table(csr, sq, k, min(n, n_new))
+    rng = np.random.default_rng(cfg.seed)
+    parents = np.arange(n_new) % n
+    picks = np.empty(n_new, dtype=np.int64)
+    lams = np.empty(n_new)
+    for j, parent in enumerate(parents):
+        picks[j] = neighbors[parent, rng.integers(0, k)]
+        lams[j] = rng.uniform(0.0, 1.0)
+    return parents, picks, lams
 
 
 def smote(
@@ -61,28 +163,63 @@ def smote(
     n_new: int,
     cfg: SmoteConfig,
 ) -> list[SyntheticSample]:
-    """Generate n_new synthetic minority samples, deterministically.
-
-    Parents cycle round-robin through the minority set; the neighbor is drawn
-    uniformly among the parent's min(k_neighbors, n-1) nearest neighbors and
-    the interpolation factor is Uniform[0, 1] from the seeded generator.
-    """
+    """Generate n_new synthetic minority samples from dense rows,
+    deterministically; see `_draws` for how parents, neighbors and
+    interpolation factors are chosen."""
     X = np.asarray(minority, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
+    if X.ndim != 2:
         raise ValidationError("SMOTE requires >= 2 minority samples")
-    n = X.shape[0]
-    k = min(cfg.k_neighbors, n - 1)
-    neighbors = _neighbor_table(X, k)
-    rng = np.random.default_rng(cfg.seed)
-    out: list[SyntheticSample] = []
-    for j in range(n_new):
-        parent = j % n
-        neighbor = int(neighbors[parent, rng.integers(0, k)])
-        lam = float(rng.uniform(0.0, 1.0))
-        vec = X[parent] + lam * (X[neighbor] - X[parent])
-        out.append(SyntheticSample(vector=vec, parent_index=parent,
-                                   neighbor_index=neighbor, lam=lam))
-    return out
+    rows, cols = np.nonzero(X)
+    csr = (np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=X.shape[0])))),
+           cols, X[rows, cols])
+    parents, picks, lams = _draws(csr, np.sum(X * X, axis=1), n_new, cfg)
+    return [SyntheticSample(vector=X[p] + lam * (X[q] - X[p]), parent_index=int(p),
+                            neighbor_index=int(q), lam=float(lam))
+            for p, q, lam in zip(parents, picks, lams)]
+
+
+def smote_sparse(
+    minority: Sequence[SparseVector],
+    n_new: int,
+    cfg: SmoteConfig,
+    dim: int,
+) -> list[SparseVector]:
+    """`smote` on sparse rows of width `dim`, returning only the vectors.
+
+    Each synthetic row covers the union of its parent's and neighbor's
+    indices, with p + lam * (q - p) per entry (0.0 for an absent one) and
+    exact zeros dropped: the same floats as the dense computation.
+    """
+    csr = pack_rows(minority)
+    parents, picks, lams = _draws(csr, _dense_sq_norms(csr, dim), n_new, cfg)
+    indptr, indices, values = csr
+    p_sample, p_at = _gather(indptr, parents)
+    q_sample, q_at = _gather(indptr, picks)
+    keys, slot = np.unique(np.concatenate((p_sample * dim + indices[p_at],
+                                           q_sample * dim + indices[q_at])),
+                           return_inverse=True)
+    p = np.zeros(len(keys))
+    q = np.zeros(len(keys))
+    p[slot[:len(p_at)]] = values[p_at]
+    q[slot[len(p_at):]] = values[q_at]
+    sample, term = np.divmod(keys, dim)
+    vals = p + lams[sample] * (q - p)
+    keep = vals != 0.0
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(sample[keep], minlength=n_new))))
+    terms, vals = term[keep].tolist(), vals[keep].tolist()
+    return [SparseVector(pairs=list(zip(terms[a:b], vals[a:b])))
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def minority_gap(y: Sequence[SentimentLabel]) -> tuple[SentimentLabel, int]:
+    """The minority label and how many rows it lacks for parity (0 when the
+    classes are balanced)."""
+    n_pos = sum(1 for lab in y if lab == SentimentLabel.POSITIVE)
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValidationError("balancing needs both classes present")
+    minority_label = SentimentLabel.NEGATIVE if n_neg < n_pos else SentimentLabel.POSITIVE
+    return minority_label, abs(n_pos - n_neg)
 
 
 def balance_to_parity(
@@ -98,16 +235,11 @@ def balance_to_parity(
     """
     X = list(X)
     y = list(y)
-    n_pos = sum(1 for lab in y if lab == SentimentLabel.POSITIVE)
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValidationError("balance_to_parity needs both classes present")
-    if n_pos == n_neg:
+    minority_label, n_new = minority_gap(y)
+    if n_new == 0:
         return X, y
-    minority_label = SentimentLabel.NEGATIVE if n_neg < n_pos else SentimentLabel.POSITIVE
     minority = [np.asarray(v, dtype=np.float64) for v, lab in zip(X, y)
                 if lab == minority_label]
-    n_new = abs(n_pos - n_neg)
     synth = smote(minority, n_new, cfg)
     X_out = [np.asarray(v, dtype=np.float64) for v in X] + [s.vector for s in synth]
     y_out = y + [minority_label] * n_new

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
-from edusent.pipeline import BUNDLE_FILES
+from edusent.features import build_vocabulary, chi2_scores, presence_sets
+from edusent.pipeline import BUNDLE_FILES, load_bundle
 
 FAST_RNN = ["--rnn-epochs", "6", "--embed-dim", "8", "--hidden-dim", "8",
             "--attn-dim", "6", "--rnn-rate", "0.01", "--patience", "0",
@@ -41,6 +42,19 @@ class TestPrepare:
         assert report["dropped"]["unparsable_rating"] == 1
         assert report["neutral_excluded"] == 4
         assert report["retained"] == 38
+
+    def test_chi2_report_scores_are_numbers(self, bundle_dir):
+        bundle = load_bundle(bundle_dir)
+        train = bundle.subset(bundle.train_ids)
+        vocab = build_vocabulary([ex.tokens for ex in train])
+        scores = chi2_scores(presence_sets([ex.tokens for ex in train], vocab),
+                             [ex.label for ex in train], len(vocab)).score
+        lines = (bundle_dir / "chi2_report.csv").read_text().splitlines()
+        assert lines[0] == "term,score"
+        rows = [line.split(",") for line in lines[1:]]
+        assert sorted(term for term, _ in rows) == sorted(vocab.terms)
+        for term, cell in rows:
+            assert float(cell) == scores[vocab.term_to_index[term]]
 
     def test_rerun_is_byte_identical(self, bundle_dir, sample_csv, tmp_path):
         other = tmp_path / "bundle2"

@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from conftest import chi2_bruteforce, make_labels
 from edusent.errors import ValidationError
 from edusent.features import (
+    SparseVector,
     build_vocabulary,
     chi2_from_counts,
     chi2_scores,
     fit_tfidf,
     load_tfidf_model,
+    pack_rows,
     presence_sets,
     save_tfidf_model,
     select_top_k,
@@ -100,6 +102,29 @@ class TestTfidf:
         np.testing.assert_array_equal(loaded.idf, model.idf)
         payload = json.loads(path.read_text())
         assert payload["version"] == 1 and payload["n_docs"] == 3
+
+
+class TestPackRows:
+    def test_matches_loop(self):
+        rng = np.random.default_rng(3)
+        X = []
+        for _ in range(9):
+            idx = sorted(rng.choice(12, size=rng.integers(0, 5), replace=False).tolist())
+            X.append(SparseVector(pairs=[(i, float(rng.normal())) for i in idx]))
+        indptr, indices, values = pack_rows(X)
+        want_ptr, want_idx, want_val = [0], [], []
+        for x in X:
+            for i, w in x.pairs:
+                want_idx.append(i)
+                want_val.append(w)
+            want_ptr.append(len(want_idx))
+        assert indptr.tolist() == want_ptr
+        assert indices.dtype == np.int64 and indices.tolist() == want_idx
+        assert values.tolist() == want_val
+
+    def test_no_rows(self):
+        indptr, indices, values = pack_rows([])
+        assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0
 
 
 class TestChi2:

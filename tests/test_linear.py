@@ -113,6 +113,21 @@ class TestTraining:
         np.testing.assert_allclose(m4.weights, m3.weights - 0.01 * gw, atol=1e-15)
         assert m4.bias == pytest.approx(m3.bias - 0.01 * gb, abs=1e-15)
 
+    def test_history_is_lr_objective(self):
+        X, y = _random_batch(seed=11, n=25)
+        cfg = LinearTrainConfig(learning_rate=0.5, epochs=6, l2=1e-2)
+        result = train_lr(X, y, cfg, dim=5)
+        assert result.loss_history[0] == lr_objective(X, y, np.zeros(5), 0.0, cfg.l2)
+        assert result.loss_history[-1] == lr_objective(
+            X, y, result.model.weights, result.model.bias, cfg.l2)
+
+    def test_index_beyond_dimension_rejected(self):
+        X = [SparseVector(pairs=[(0, 1.0)]), SparseVector(pairs=[(1, 0.5), (4, 1.0)])]
+        with pytest.raises(ValidationError, match="feature index 4 exceeds model dimension 3"):
+            train_lr(X, make_labels([0, 1]), LinearTrainConfig(), dim=3)
+        with pytest.raises(ValidationError, match="exceeds model dimension"):
+            lr_objective(X, make_labels([0, 1]), np.zeros(2), 0.0, 0.0)
+
     def test_single_class_error(self):
         X = [SparseVector(pairs=[(0, 1.0)])] * 3
         with pytest.raises(ValidationError):
