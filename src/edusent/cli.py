@@ -22,7 +22,7 @@ from .ingest import split
 from .linear import (
     LinearTrainConfig,
     classify,
-    load_linear_model,
+    linear_model_from_payload,
     predict_proba,
     save_linear_model,
     train_lr,
@@ -31,8 +31,8 @@ from .neural import (
     NeuralTrainConfig,
     RnnDims,
     encode_tokens,
-    load_rnn_model,
     predict_sequences,
+    rnn_model_from_payload,
     save_rnn_model,
     train_rnn,
 )
@@ -85,11 +85,13 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 def cmd_train(cfg: PipelineConfig, args) -> int:
     bundle = load_bundle(cfg.out)
     out = Path(cfg.out)
+    initial = None
+    if args.resume:
+        kind, initial, ref = _load_model(Path(args.resume))
+        if kind != args.kind:
+            raise SchemaError(f"resume model {args.resume} is a {kind} model, not {args.kind}")
+        check_vocab_ref(bundle, ref, f"resume model {args.resume}")
     if args.kind == "logreg":
-        initial = None
-        if args.resume:
-            initial, ref = load_linear_model(args.resume)
-            check_vocab_ref(bundle, ref, f"resume model {args.resume}")
         X = tfidf_rows(bundle, bundle.train_ids)
         y = [bundle.examples[i].label for i in bundle.train_ids]
         Xb, yb = balance_sparse(X, y, len(bundle.tfidf.vocab),
@@ -110,10 +112,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         return 0
 
     # rnn
-    initial = None
-    if args.resume:
-        initial, ref = load_rnn_model(args.resume)
-        check_vocab_ref(bundle, ref, f"resume model {args.resume}")
     train_examples = bundle.subset(bundle.train_ids)
     rnn_train_ids = list(bundle.train_ids)
     rnn_val_ids = list(bundle.train_ids)
@@ -154,26 +152,32 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _sniff_kind(model_path: Path) -> str:
-    kind = read_json(model_path).get("kind")
-    if kind not in ("logreg", "rnn"):
+def _load_model(model_path: Path):
+    """Parse a model file once and build the model its `kind` names.
+
+    Returns (kind, model, vocab_ref).
+    """
+    payload = read_json(model_path)
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind == "logreg":
+        model, ref = linear_model_from_payload(payload, model_path)
+    elif kind == "rnn":
+        model, ref = rnn_model_from_payload(payload, model_path)
+    else:
         raise SchemaError(f"{model_path} has unknown model kind {kind!r}")
-    return kind
+    return kind, model, ref
 
 
 def _test_scores(cfg: PipelineConfig, bundle: Bundle, model_path: Path):
-    kind = _sniff_kind(model_path)
+    kind, model, ref = _load_model(model_path)
+    check_vocab_ref(bundle, ref, str(model_path))
     ids = bundle.test_ids
     if not ids:
         raise ValidationError("empty evaluation set")
     y_true = [bundle.examples[i].label for i in ids]
     if kind == "logreg":
-        model, ref = load_linear_model(model_path)
-        check_vocab_ref(bundle, ref, str(model_path))
         scores = [predict_proba(model, x) for x in tfidf_rows(bundle, ids)]
     else:
-        model, ref = load_rnn_model(model_path)
-        check_vocab_ref(bundle, ref, str(model_path))
         ds, _ = sequence_data(bundle, ids, model.dims.max_len, drop_empty=False)
         scores = [float(p) for p in predict_sequences(model, ds.sequences)]
     y_pred = [classify(p) for p in scores]
@@ -213,31 +217,28 @@ def _locate_vocab(cfg: PipelineConfig, model_path: Path, vocab_ref: str) -> Tfid
     raise SchemaError(f"no vocab.json found near {model_path} or in {cfg.out}")
 
 
-def _single_probability(cfg: PipelineConfig, model_path: Path, tokens: list):
-    kind = _sniff_kind(model_path)
-    flags = []
+def _scorer(cfg: PipelineConfig, model_path: Path):
+    """Load a model and its vocabulary once; returns a function mapping
+    tokens to (probability, whether no token reached the model)."""
+    kind, model, ref = _load_model(model_path)
+    tfidf = _locate_vocab(cfg, model_path, ref)
     if kind == "logreg":
-        model, ref = load_linear_model(model_path)
-        tfidf = _locate_vocab(cfg, model_path, ref)
-        x = tfidf_transform(tfidf, tokens)
-        if not x.pairs:
-            flags.append("low-signal input")
-        p = predict_proba(model, x)
+        def score(tokens):
+            x = tfidf_transform(tfidf, tokens)
+            return predict_proba(model, x), not x.pairs
     else:
-        model, ref = load_rnn_model(model_path)
-        tfidf = _locate_vocab(cfg, model_path, ref)
-        ids = encode_tokens(tokens, tfidf.vocab.term_to_index, model.dims.max_len)
-        if not ids:
-            flags.append("low-signal input")
-        p = float(predict_sequences(model, [ids])[0])
-    return p, flags
+        def score(tokens):
+            ids = encode_tokens(tokens, tfidf.vocab.term_to_index, model.dims.max_len)
+            return float(predict_sequences(model, [ids])[0]), not ids
+    return score
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     sw, rules = load_lexicons(cfg)
     text = args.text if args.text is not None else sys.stdin.read()
     tokens = preprocess(text, sw, rules)
-    p, flags = _single_probability(cfg, Path(args.model), tokens)
+    p, low_signal = _scorer(cfg, Path(args.model))(tokens)
+    flags = ["low-signal input"] if low_signal else []
     print(json.dumps(
         {"label": str(classify(p)), "p_positive": p, "flags": flags},
         sort_keys=True))
@@ -256,11 +257,13 @@ def cmd_sensitivity(cfg: PipelineConfig, args) -> int:
     sentences = (_read_sentences(args.sentences) if args.sentences
                  else list(DEFAULT_SENSITIVITY_SENTENCES))
     sw, rules = load_lexicons(cfg)
+    lr_score = _scorer(cfg, Path(args.lr_model))
+    rnn_score = _scorer(cfg, Path(args.rnn_model))
     rows = []
     for sid, sentence in enumerate(sentences, start=1):
         tokens = preprocess(sentence, sw, rules)
-        lr_p, _ = _single_probability(cfg, Path(args.lr_model), tokens)
-        rnn_p, _ = _single_probability(cfg, Path(args.rnn_model), tokens)
+        lr_p, _ = lr_score(tokens)
+        rnn_p, _ = rnn_score(tokens)
         rows.append((sid, sentence, lr_p, rnn_p))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -208,15 +208,22 @@ def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str
     )
 
 
-def load_linear_model(path: Union[str, Path]) -> tuple[LinearModel, str]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    if payload.get("kind") != "logreg" or payload.get("version") != 1:
-        raise SchemaError(f"{path} is not a version-1 logreg model file")
+def linear_model_from_payload(payload, source) -> tuple[LinearModel, str]:
+    """Build a model from a parsed version-1 logreg model file; returns
+    (model, vocab_ref)."""
+    if not isinstance(payload, dict) or payload.get("kind") != "logreg" \
+            or payload.get("version") != 1:
+        raise SchemaError(f"{source} is not a version-1 logreg model file")
     model = LinearModel(
         weights=np.array(payload["weights"], dtype=np.float64),
         bias=float(payload["bias"]),
     )
     return model, str(payload.get("vocab_ref", ""))
+
+
+def load_linear_model(path: Union[str, Path]) -> tuple[LinearModel, str]:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
+    return linear_model_from_payload(payload, path)

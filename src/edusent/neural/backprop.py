@@ -33,15 +33,12 @@ def _direction_backward(
 ) -> np.ndarray:
     """BPTT for one direction; returns gradient w.r.t. its input sequence."""
     B, L, E = cache.x.shape
-    h_dim = cache.i.shape[2]
+    h_dim = cache.c_tilde.shape[2]
     dx = np.zeros((B, L, E))
     dh_carry = np.zeros((B, h_dim))
     dc_carry = np.zeros((B, h_dim))
-    W = {gate: getattr(cell, f"W_{gate}").data for gate in "ifog"}
-    U = {gate: getattr(cell, f"U_{gate}").data for gate in "ifog"}
-    dW = {gate: grads[f"{prefix}.W_{gate}"] for gate in "ifog"}
-    dU = {gate: grads[f"{prefix}.U_{gate}"] for gate in "ifog"}
-    db = {gate: grads[f"{prefix}.b_{gate}"] for gate in "ifog"}
+    W, U = cell.W.data, cell.U.data
+    dW, dU, db = grads[f"{prefix}.W"], grads[f"{prefix}.U"], grads[f"{prefix}.b"]
 
     for s in range(L - 1, -1, -1):
         m = cache.mask[:, s : s + 1]
@@ -55,34 +52,24 @@ def _direction_backward(
         dh_pass = (1.0 - m) * dh_carry
         dc_pass = (1.0 - m) * dc_carry
 
-        o = cache.o[:, s]
+        gates = cache.gates[:, s]
+        i, f, o, g = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
         tanh_c = np.tanh(cache.c_tilde[:, s])
-        do = dh_tilde * tanh_c
         dc_tilde = dc_tilde + dh_tilde * o * (1.0 - tanh_c ** 2)
 
-        i, f, g = cache.i[:, s], cache.f[:, s], cache.g[:, s]
-        di = dc_tilde * g
-        df = dc_tilde * c_prev
-        dg = dc_tilde * i
-        dc_chain = dc_tilde * f
+        # gradients of the gate pre-activations: through sigma for i, f, o
+        # and through tanh for g
+        da = np.concatenate([dc_tilde * g * i * (1.0 - i),
+                             dc_tilde * c_prev * f * (1.0 - f),
+                             dh_tilde * tanh_c * o * (1.0 - o),
+                             dc_tilde * i * (1.0 - g ** 2)], axis=1)
 
-        da = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g ** 2),
-        }
-        x_s = cache.x[:, s]
-        dh_gates = np.zeros((B, h_dim))
-        for gate in "ifog":
-            dW[gate] += da[gate].T @ x_s
-            dU[gate] += da[gate].T @ h_prev
-            db[gate] += da[gate].sum(axis=0)
-            dx[:, s] += da[gate] @ W[gate]
-            dh_gates += da[gate] @ U[gate]
-
-        dh_carry = dh_pass + dh_gates
-        dc_carry = dc_pass + dc_chain
+        dW += da.T @ cache.x[:, s]
+        dU += da.T @ h_prev
+        db += da.sum(axis=0)
+        dx[:, s] = da @ W
+        dh_carry = dh_pass + da @ U
+        dc_carry = dc_pass + dc_tilde * f
     return dx
 
 

@@ -19,8 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..errors import SchemaError, ValidationError
-
-GATES = ("i", "f", "o", "g")
+from ..linear import sigmoid
 
 
 class Tensor:
@@ -63,27 +62,17 @@ class RnnDims:
 
 @dataclass
 class LstmCellParams:
-    """Per-gate input weights W_* (hidden x embed), recurrent weights U_*
-    (hidden x hidden), and biases b_* (hidden,)."""
+    """Fused gate weights: input W (4h x embed), recurrent U (4h x h) and
+    bias b (4h,), with the gate row blocks in the order i, f, o, g."""
 
-    W_i: Tensor
-    U_i: Tensor
-    b_i: Tensor
-    W_f: Tensor
-    U_f: Tensor
-    b_f: Tensor
-    W_o: Tensor
-    U_o: Tensor
-    b_o: Tensor
-    W_g: Tensor
-    U_g: Tensor
-    b_g: Tensor
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     def named_tensors(self, prefix: str):
-        for gate in GATES:
-            yield f"{prefix}.W_{gate}", getattr(self, f"W_{gate}")
-            yield f"{prefix}.U_{gate}", getattr(self, f"U_{gate}")
-            yield f"{prefix}.b_{gate}", getattr(self, f"b_{gate}")
+        yield f"{prefix}.W", self.W
+        yield f"{prefix}.U", self.U
+        yield f"{prefix}.b", self.b
 
 
 @dataclass
@@ -113,9 +102,8 @@ class RnnModel:
         yield "out.b", self.out_b
 
     def copy(self) -> "RnnModel":
-        clone = load_state({name: t.data for name, t in self.named_parameters()},
-                           self.dims)
-        return clone
+        return load_state({file_name: block for name, t in self.named_parameters()
+                           for file_name, block in _file_blocks(name, t.data)}, self.dims)
 
 
 @dataclass
@@ -146,13 +134,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 def _init_cell(rng: np.random.Generator, dims: RnnDims) -> LstmCellParams:
     h, e = dims.hidden, dims.embed_dim
-    kwargs = {}
-    for gate in GATES:
-        kwargs[f"W_{gate}"] = Tensor(_glorot(rng, e, h, (h, e)))
-        kwargs[f"U_{gate}"] = Tensor(_glorot(rng, h, h, (h, h)))
-        # forget-gate bias 1.0 keeps early cell memory alive
-        kwargs[f"b_{gate}"] = Tensor(np.full(h, 1.0) if gate == "f" else np.zeros(h))
-    return LstmCellParams(**kwargs)
+    W, U = [], []
+    for _gate in "ifog":  # draws interleave per gate: W_i, U_i, W_f, U_f, ...
+        W.append(_glorot(rng, e, h, (h, e)))
+        U.append(_glorot(rng, h, h, (h, h)))
+    b = np.zeros(4 * h)
+    b[h : 2 * h] = 1.0  # forget-gate bias 1.0 keeps early cell memory alive
+    return LstmCellParams(W=Tensor(np.concatenate(W)), U=Tensor(np.concatenate(U)),
+                          b=Tensor(b))
 
 
 def init_model(dims: RnnDims, seed: int) -> RnnModel:
@@ -178,15 +167,6 @@ def init_model(dims: RnnDims, seed: int) -> RnnModel:
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def embed(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     """Row lookup, (batch, max_len, embed_dim); pads hit the pinned zero row."""
     n_rows = model.embedding.data.shape[0]
@@ -196,28 +176,28 @@ def embed(model: RnnModel, batch: TokenBatch) -> np.ndarray:
 
 
 def lstm_step(
-    x_t: np.ndarray,
+    xw_t: np.ndarray,
     h_prev: np.ndarray,
     c_prev: np.ndarray,
     cell: LstmCellParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM update. Accepts (batch, dim) or bare (dim,) arrays."""
-    gates = _gate_values(x_t, h_prev, cell)
-    i, f, o, g = gates
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM update from the step's input projection xw_t = x_t . W^T.
 
-
-def _gate_values(x_t, h_prev, cell):
+    Accepts (batch, dim) or bare (dim,) arrays. Returns (h_t, c_t, gates),
+    where gates holds sigma(i), sigma(f), sigma(o), tanh(g) side by side.
+    """
     try:
-        a_i = x_t @ cell.W_i.data.T + h_prev @ cell.U_i.data.T + cell.b_i.data
-        a_f = x_t @ cell.W_f.data.T + h_prev @ cell.U_f.data.T + cell.b_f.data
-        a_o = x_t @ cell.W_o.data.T + h_prev @ cell.U_o.data.T + cell.b_o.data
-        a_g = x_t @ cell.W_g.data.T + h_prev @ cell.U_g.data.T + cell.b_g.data
+        a = xw_t + h_prev @ cell.U.data.T + cell.b.data
+        n = h_prev.shape[-1]
+        gates = np.empty_like(a)
+        gates[..., : 3 * n] = sigmoid(a[..., : 3 * n])
+        gates[..., 3 * n :] = np.tanh(a[..., 3 * n :])
+        i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+        c_t = f * c_prev + i * g
     except ValueError as exc:
         raise ValidationError(f"lstm_step shape mismatch: {exc}") from exc
-    return _sigmoid(a_i), _sigmoid(a_f), _sigmoid(a_o), np.tanh(a_g)
+    h_t = o * np.tanh(c_t)
+    return h_t, c_t, gates
 
 
 @dataclass
@@ -226,10 +206,7 @@ class DirectionCache:
 
     x: np.ndarray  # (B, L, E) inputs as consumed (reversed for the backward cell)
     mask: np.ndarray  # (B, L)
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray  # (B, L, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
     c_tilde: np.ndarray  # candidate cell value before mask gating
     h_tilde: np.ndarray  # o * tanh(c_tilde)
     h_state: np.ndarray  # carried hidden state after mask gating
@@ -257,12 +234,11 @@ def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray) -> Dir
     unchanged and contribute zero rows to the output, so a padded tail never
     alters real positions.
     """
-    B, L, _ = x.shape
-    h_dim = cell.b_i.data.shape[0]
-    i_all = np.empty((B, L, h_dim))
-    f_all = np.empty((B, L, h_dim))
-    o_all = np.empty((B, L, h_dim))
-    g_all = np.empty((B, L, h_dim))
+    B, L, E = x.shape
+    h_dim = cell.U.data.shape[1]
+    # the input projection of every timestep in one GEMM; each step then
+    # overwrites its slice with the gate activations
+    gates_all = (x.reshape(B * L, E) @ cell.W.data.T).reshape(B, L, 4 * h_dim)
     ct_all = np.empty((B, L, h_dim))
     ht_all = np.empty((B, L, h_dim))
     hs_all = np.empty((B, L, h_dim))
@@ -271,16 +247,13 @@ def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray) -> Dir
     c = np.zeros((B, h_dim))
     for s in range(L):
         m = mask[:, s : s + 1]
-        i, f, o, g = _gate_values(x[:, s], h, cell)
-        c_tilde = f * c + i * g
-        h_tilde = o * np.tanh(c_tilde)
+        h_tilde, c_tilde, gates_all[:, s] = lstm_step(gates_all[:, s], h, c, cell)
         h = m * h_tilde + (1.0 - m) * h
         c = m * c_tilde + (1.0 - m) * c
-        i_all[:, s], f_all[:, s], o_all[:, s], g_all[:, s] = i, f, o, g
         ct_all[:, s], ht_all[:, s] = c_tilde, h_tilde
         hs_all[:, s], cs_all[:, s] = h, c
-    return DirectionCache(x=x, mask=mask, i=i_all, f=f_all, o=o_all, g=g_all,
-                          c_tilde=ct_all, h_tilde=ht_all, h_state=hs_all, c_state=cs_all)
+    return DirectionCache(x=x, mask=mask, gates=gates_all, c_tilde=ct_all,
+                          h_tilde=ht_all, h_state=hs_all, c_state=cs_all)
 
 
 def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray):
@@ -319,7 +292,7 @@ def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
     H, fwd, bwd = bilstm(model, embedded, batch.mask)
     context, alphas, u = attention(model, H, batch.mask)
     logits = context @ model.out_w.data + model.out_b.data
-    probs = _sigmoid(logits)
+    probs = sigmoid(logits)
     return ForwardCache(batch=batch, embedded=embedded, fwd=fwd, bwd=bwd, H=H,
                         u=u, alphas=alphas, context=context, logits=logits, probs=probs)
 
@@ -336,8 +309,7 @@ def predict_sequences(
     """
     probs = np.empty(len(sequences))
     nonempty = [(row, list(seq)) for row, seq in enumerate(sequences) if len(seq) > 0]
-    bias_p = float(_sigmoid(model.out_b.data.reshape(1))[0])
-    probs[:] = bias_p
+    probs[:] = sigmoid(model.out_b.data)
     for start in range(0, len(nonempty), chunk):
         part = nonempty[start : start + chunk]
         batch = build_batch([seq for _, seq in part],
@@ -373,10 +345,19 @@ def encode_tokens(tokens: Sequence[str], term_to_index: dict, max_len: int) -> l
     return ids[:max_len]
 
 
+def _file_blocks(name: str, data: np.ndarray) -> list:
+    """The version-1 file entries of one parameter: a fused gate tensor is
+    stored as its i, f, o, g row blocks under `<name>_<gate>`."""
+    if name.startswith(("fwd.", "bwd.")):
+        return [(f"{name}_{gate}", block) for gate, block in zip("ifog", np.split(data, 4))]
+    return [(name, data)]
+
+
 def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
     tensors = {
-        name: [list(t.data.shape), t.data.ravel().tolist()]
+        file_name: [list(block.shape), block.ravel().tolist()]
         for name, t in model.named_parameters()
+        for file_name, block in _file_blocks(name, t.data)
     }
     payload = {
         "version": 1,
@@ -391,26 +372,45 @@ def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> N
 
 
 def load_state(arrays: dict, dims: RnnDims) -> RnnModel:
-    """Assemble a model from a {parameter name: array} mapping."""
-    blank = init_model(dims, seed=0)
-    for name, tensor in blank.named_parameters():
-        if name not in arrays:
-            raise SchemaError(f"model state lacks tensor {name!r}")
-        data = np.asarray(arrays[name], dtype=np.float64).reshape(tensor.data.shape)
-        tensor.data = data.copy()
-    return blank
+    """Assemble a model from a {version-1 file name: array} mapping."""
+    model = init_model(dims, seed=0)
+    for name, tensor in model.named_parameters():
+        blocks = []
+        for file_name, block in _file_blocks(name, tensor.data):
+            data = arrays.get(file_name)
+            if data is None or data.shape != block.shape:
+                raise SchemaError(f"model state lacks a {list(block.shape)} tensor {file_name!r}")
+            blocks.append(data)
+        tensor.data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0].copy()
+    return model
+
+
+def rnn_model_from_payload(payload, source) -> tuple[RnnModel, str]:
+    """Build a model from a parsed version-1 rnn model file; returns
+    (model, vocab_ref). Malformed dims or tensors raise SchemaError."""
+    if not isinstance(payload, dict) or payload.get("kind") != "rnn" \
+            or payload.get("version") != 1:
+        raise SchemaError(f"{source} is not a version-1 rnn model file")
+    dims = payload.get("dims")
+    fields = set(RnnDims.__dataclass_fields__)
+    if (not isinstance(dims, dict) or set(dims) != fields
+            or any(type(v) is not int or v < 1 for v in dims.values())):
+        raise SchemaError(f"{source}: dims {dims!r} are not positive integers "
+                          f"{sorted(fields)}")
+    try:
+        arrays = {name: np.array(flat, dtype=np.float64).reshape(shape)
+                  for name, (shape, flat) in payload["tensors"].items()}
+        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
+            raise ValueError("a tensor holds a value that is not finite")
+        model = load_state(arrays, RnnDims(**dims))
+    except (KeyError, AttributeError, TypeError, ValueError, SchemaError) as exc:
+        raise SchemaError(f"{source} has malformed tensors: {exc}") from exc
+    return model, str(payload.get("vocab_ref", ""))
 
 
 def load_rnn_model(path: Union[str, Path]) -> tuple[RnnModel, str]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    if payload.get("kind") != "rnn" or payload.get("version") != 1:
-        raise SchemaError(f"{path} is not a version-1 rnn model file")
-    dims = RnnDims(**payload["dims"])
-    arrays = {
-        name: np.array(flat, dtype=np.float64).reshape(shape)
-        for name, (shape, flat) in payload["tensors"].items()
-    }
-    return load_state(arrays, dims), str(payload.get("vocab_ref", ""))
+    return rnn_model_from_payload(payload, path)

@@ -9,11 +9,13 @@ model is the best-validation snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..evalmetrics import classification_metrics, confusion
+from ..ingest import SentimentLabel
 from .backprop import backward, weighted_bce
 from .model import RnnDims, RnnModel, build_batch, forward, init_model, predict_sequences
 
@@ -90,17 +92,12 @@ class Adam:
             tensor.data -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
-def f1_score(labels: Sequence[float], probs: Sequence[float], threshold: float = 0.5) -> float:
-    y = np.asarray(labels)
-    pred = np.asarray(probs) >= threshold
-    tp = float(np.sum(pred & (y == 1.0)))
-    fp = float(np.sum(pred & (y == 0.0)))
-    fn = float(np.sum(~pred & (y == 1.0)))
-    if tp == 0.0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+def _val_f1(labels: np.ndarray, probs: np.ndarray) -> float:
+    """F1 of the positive class at threshold 0.5, as `evalmetrics` reports it."""
+    y_true = [SentimentLabel(int(v)) for v in labels]
+    y_pred = [SentimentLabel.POSITIVE if p >= 0.5 else SentimentLabel.NEGATIVE
+              for p in probs]
+    return classification_metrics(confusion(y_true, y_pred))["f1"]
 
 
 def dataset_loss(model: RnnModel, ds: SequenceDataset, cfg: NeuralTrainConfig) -> float:
@@ -120,6 +117,8 @@ def train_rnn(
     for a fixed config seed."""
     if len(train) == 0:
         raise ValidationError("empty training set")
+    if len(valid) == 0:
+        raise ValidationError("empty validation set")
     if any(len(seq) == 0 for seq in train.sequences):
         raise ValidationError("training sequences must be non-empty; filter them upstream")
     label_set = set(np.unique(train.labels))
@@ -160,7 +159,7 @@ def train_rnn(
         result.epoch_losses.append(total / n)
 
         val_probs = predict_sequences(model, valid.sequences)
-        f1 = f1_score(valid.labels, val_probs)
+        f1 = _val_f1(valid.labels, val_probs)
         val_loss = weighted_bce(val_probs, valid.labels, cfg.weight_pos, cfg.weight_neg)
         result.val_f1s.append(f1)
         result.val_losses.append(val_loss)

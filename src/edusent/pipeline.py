@@ -67,7 +67,7 @@ def read_json(path: Union[str, Path]) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"missing file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
 
 

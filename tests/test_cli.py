@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import edusent.cli
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.features import build_vocabulary, chi2_scores, presence_sets
+from edusent.neural import RnnDims, init_model, save_rnn_model
 from edusent.pipeline import BUNDLE_FILES, load_bundle
 
 FAST_RNN = ["--rnn-epochs", "6", "--embed-dim", "8", "--hidden-dim", "8",
@@ -254,7 +256,70 @@ class TestPredict:
         assert capsys.readouterr().out == first
 
 
+def _untrained_rnn_file(bundle_dir) -> Path:
+    bundle = load_bundle(bundle_dir)
+    dims = RnnDims(vocab_size=len(bundle.tfidf.vocab), embed_dim=4, hidden=3, attn_dim=3)
+    path = bundle_dir / "model_rnn.json"
+    save_rnn_model(init_model(dims, seed=0), path, bundle.vocab_ref)
+    return path
+
+
+def _drop_last_value(payload):
+    payload["tensors"]["fwd.U_g"][1].pop()
+
+
+def _nan_weight(payload):
+    payload["tensors"]["out.w"][1][0] = float("nan")
+
+
+class TestMalformedRnnModel:
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p.pop("tensors"),
+        _drop_last_value,
+        lambda p: p["dims"].pop("hidden"),
+        _nan_weight,
+    ], ids=["missing-tensors", "wrong-element-count", "missing-hidden", "nan-weight"])
+    def test_exit_2_without_traceback(self, bundle_dir, capsys, command, corrupt):
+        path = _untrained_rnn_file(bundle_dir)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        argv = ["predict", "The lecture was engaging."] if command == "predict" else ["evaluate"]
+        rc = main([*argv, "--out", str(bundle_dir), "--model", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and str(path) in err
+
+    def test_undecodable_file(self, bundle_dir, capsys):
+        path = bundle_dir / "model_rnn.json"
+        path.write_bytes(b"\xff\xfe{")
+        rc = main(["predict", "--out", str(bundle_dir), "--model", str(path), "Good."])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_intact_file_predicts(self, bundle_dir, capsys):
+        path = _untrained_rnn_file(bundle_dir)
+        assert main(["predict", "--out", str(bundle_dir), "--model", str(path), "Good."]) == 0
+        assert json.loads(capsys.readouterr().out)["p_positive"] == 0.5
+
+
 class TestSensitivity:
+    def test_each_model_parsed_and_hashed_once(self, trained_dir, monkeypatch):
+        calls = {"read_json": 0, "file_sha256": 0}
+        for name in calls:
+            real = getattr(edusent.cli, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(edusent.cli, name, counted)
+        assert main(["sensitivity", "--out", str(trained_dir), "--no-plots",
+                     "--lr-model", str(trained_dir / "model_logreg.json"),
+                     "--rnn-model", str(trained_dir / "model_rnn.json")]) == 0
+        assert calls == {"read_json": 2, "file_sha256": 2}
+
     def test_default_eight_rows(self, trained_dir, capsys):
         rc = main(["sensitivity", "--out", str(trained_dir),
                    "--lr-model", str(trained_dir / "model_logreg.json"),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,15 +24,19 @@ from edusent.neural import (
 from edusent.neural.model import LstmCellParams, Tensor
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
+V1_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v1.json"
 
 
 def _zero_cell(hidden=2, embed=2) -> LstmCellParams:
-    kwargs = {}
-    for gate in "ifog":
-        kwargs[f"W_{gate}"] = Tensor(np.zeros((hidden, embed)))
-        kwargs[f"U_{gate}"] = Tensor(np.zeros((hidden, hidden)))
-        kwargs[f"b_{gate}"] = Tensor(np.zeros(hidden))
-    return LstmCellParams(**kwargs)
+    return LstmCellParams(W=Tensor(np.zeros((4 * hidden, embed))),
+                          U=Tensor(np.zeros((4 * hidden, hidden))),
+                          b=Tensor(np.zeros(4 * hidden)))
+
+
+def _step(x, h_prev, c_prev, cell):
+    """lstm_step from a raw input: project it through W first."""
+    h, c, _ = lstm_step(x @ cell.W.data.T, h_prev, c_prev, cell)
+    return h, c
 
 
 class TestEmbed:
@@ -62,13 +69,13 @@ class TestEmbed:
 class TestLstmStep:
     def test_zero_fixed_point(self):
         cell = _zero_cell()
-        h, c = lstm_step(np.zeros(2), np.zeros(2), np.zeros(2), cell)
+        h, c = _step(np.zeros(2), np.zeros(2), np.zeros(2), cell)
         np.testing.assert_array_equal(h, np.zeros(2))
         np.testing.assert_array_equal(c, np.zeros(2))
 
     def test_unit_cell_state(self):
         cell = _zero_cell()
-        h, c = lstm_step(np.zeros(2), np.zeros(2), np.ones(2), cell)
+        h, c = _step(np.zeros(2), np.zeros(2), np.ones(2), cell)
         np.testing.assert_allclose(c, 0.5, atol=1e-15)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5), atol=1e-15)
         assert h[0] == pytest.approx(0.23105857863000487, abs=1e-15)
@@ -79,11 +86,11 @@ class TestLstmStep:
         c_prev = rng.normal(size=(4, DIMS.hidden)) * 3
         h_prev = rng.normal(size=(4, DIMS.hidden))
         x = rng.normal(size=(4, DIMS.embed_dim))
-        _, c = lstm_step(x, h_prev, c_prev, model.forward_cell)
+        _, c = _step(x, h_prev, c_prev, model.forward_cell)
         assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
 
     def test_shape_mismatch(self):
-        cell = _zero_cell()
+        cell = _zero_cell()  # the input projection must be 4 * hidden = 8 wide
         with pytest.raises(ValidationError):
             lstm_step(np.zeros(5), np.zeros(2), np.zeros(2), cell)
 
@@ -96,8 +103,8 @@ class TestBilstm:
         H, _, _ = bilstm(model, embedded, batch.mask)
         x = model.embedding.data[5]
         zeros = np.zeros(DIMS.hidden)
-        h_f, _ = lstm_step(x, zeros, zeros, model.forward_cell)
-        h_b, _ = lstm_step(x, zeros, zeros, model.backward_cell)
+        h_f, _ = _step(x, zeros, zeros, model.forward_cell)
+        h_b, _ = _step(x, zeros, zeros, model.backward_cell)
         np.testing.assert_allclose(H[0, 0], np.concatenate([h_f, h_b]), atol=1e-14)
 
     def test_palindrome_with_shared_cells_is_mirror_symmetric(self):
@@ -239,5 +246,86 @@ class TestPersistence:
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "kind": "logreg"}')
+        with pytest.raises(SchemaError):
+            load_rnn_model(path)
+
+
+class TestFusedLayout:
+    def test_eleven_parameter_tensors(self):
+        model = init_model(DIMS, seed=0)
+        shapes = dict((name, t.shape) for name, t in model.named_parameters())
+        assert len(shapes) == 11
+        h, e = DIMS.hidden, DIMS.embed_dim
+        assert shapes["fwd.W"] == (4 * h, e)
+        assert shapes["bwd.U"] == (4 * h, h)
+        assert shapes["fwd.b"] == (4 * h,)
+
+    def test_forget_gate_rows_start_at_one(self):
+        h = DIMS.hidden
+        b = init_model(DIMS, seed=0).forward_cell.b.data
+        np.testing.assert_array_equal(b, [0.0] * h + [1.0] * h + [0.0] * (2 * h))
+
+    def test_file_stores_per_gate_blocks(self, tmp_path):
+        model = init_model(DIMS, seed=1)
+        path = tmp_path / "model_rnn.json"
+        save_rnn_model(model, path, vocab_ref="0")
+        tensors = json.loads(path.read_text())["tensors"]
+        h = DIMS.hidden
+        for k, gate in enumerate("ifog"):
+            shape, flat = tensors[f"bwd.U_{gate}"]
+            assert shape == [h, h]
+            np.testing.assert_array_equal(
+                np.reshape(flat, shape), model.backward_cell.U.data[k * h : (k + 1) * h])
+
+
+class TestVersion1Fixture:
+    """A model file written before the gate tensors were fused."""
+
+    SEQUENCES = [[1], [9, 8, 7], [2, 4, 6, 8, 1, 3, 5, 7, 9, 2], [], [5, 5, 5, 5]]
+    PROBS = [0.4670603203567777, 0.33940858522985706, 0.41670668692572577,
+             0.31870937380012815, 0.2775446772837909]
+
+    def test_load_and_save_round_trips_bytes(self, tmp_path):
+        model, ref = load_rnn_model(V1_FIXTURE)
+        path = tmp_path / "resaved.json"
+        save_rnn_model(model, path, ref)
+        assert path.read_bytes() == V1_FIXTURE.read_bytes()
+
+    def test_predictions_match_stored(self):
+        model, _ = load_rnn_model(V1_FIXTURE)
+        np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
+                                   self.PROBS, rtol=1e-12, atol=0)
+
+
+class TestMalformedModelFile:
+    @staticmethod
+    def _corrupt(tmp_path, edit):
+        payload = json.loads(V1_FIXTURE.read_text())
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["tensors"].pop("fwd.W_o"),
+        lambda p: p["tensors"].__setitem__("out.b", [[], [0.1, 0.2]]),
+        lambda p: p["tensors"].__setitem__("attn.v_a", [[3], "abc"]),
+        lambda p: p["tensors"].__setitem__("attn.v_a", [[2], [0.1, 0.2]]),
+        lambda p: p["tensors"].__setitem__("out.w", None),
+        lambda p: p["dims"].__setitem__("hidden", 3.0),
+        lambda p: p["dims"].__setitem__("extra", 1),
+        lambda p: p.__setitem__("dims", [4, 3, 3]),
+        lambda p: p.__setitem__("tensors", []),
+        lambda p: p["tensors"]["bwd.b_g"][1].__setitem__(0, float("inf")),
+    ], ids=["missing-tensor", "bias-too-long", "values-not-numbers", "wrong-shape",
+            "entry-null", "float-dim", "unknown-dim", "dims-list", "tensors-list",
+            "infinite-bias"])
+    def test_schema_error(self, tmp_path, edit):
+        with pytest.raises(SchemaError):
+            load_rnn_model(self._corrupt(tmp_path, edit))
+
+    def test_binary_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00")
         with pytest.raises(SchemaError):
             load_rnn_model(path)

@@ -128,3 +128,55 @@ def test_resume_continues_from_initial():
     # model's ~ln 2 starting loss
     assert resumed.initial_loss < first.initial_loss
     assert resumed.epoch_losses[-1] <= first.epoch_losses[-1]
+
+
+def _reference_f1(labels, probs, threshold=0.5):
+    """The validation F1 `train_rnn` used before it took F1 from evalmetrics."""
+    y = np.asarray(labels)
+    pred = np.asarray(probs) >= threshold
+    tp = float(np.sum(pred & (y == 1.0)))
+    fp = float(np.sum(pred & (y == 0.0)))
+    fn = float(np.sum(~pred & (y == 1.0)))
+    if tp == 0.0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+@pytest.mark.parametrize("case", ["random", "tp_zero", "no_positive_predictions",
+                                  "all_positive_predictions", "perfect"])
+def test_val_f1_equals_reference_formula(case):
+    from edusent.neural.train import _val_f1
+
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        labels = rng.integers(0, 2, size=n).astype(float)
+        probs = rng.uniform(size=n)
+        probs[rng.uniform(size=n) < 0.1] = 0.5  # the threshold reads as positive
+        if case == "tp_zero":
+            probs = np.where(labels == 1.0, 0.2, probs)
+        elif case == "no_positive_predictions":
+            probs = probs * 0.49
+        elif case == "all_positive_predictions":
+            probs = 0.5 + probs * 0.5
+        elif case == "perfect":
+            probs = labels.copy()
+        assert _val_f1(labels, probs) == _reference_f1(labels, probs)
+
+
+def test_recorded_val_f1_matches_reference_on_best_model():
+    ds, vocab = _toy_dataset()
+    cfg = NeuralTrainConfig(epochs=3, batch_size=8, learning_rate=0.01,
+                            seed=4, patience=0)
+    result = train_rnn(ds, ds, cfg, _dims(vocab))
+    probs = predict_sequences(result.model, ds.sequences)
+    assert result.val_f1s[result.best_epoch] == _reference_f1(ds.labels, probs)
+
+
+def test_empty_validation_set_rejected():
+    ds, vocab = _toy_dataset()
+    empty = SequenceDataset(sequences=[], labels=np.array([]))
+    with pytest.raises(ValidationError):
+        train_rnn(ds, empty, NeuralTrainConfig(epochs=1), _dims(vocab))
