@@ -17,14 +17,12 @@ from pathlib import Path
 from .config import PipelineConfig, build_config
 from .errors import SchemaError, ValidationError
 from .evalmetrics import ConfusionMatrix, RocCurve, evaluation_report
-from .features import TfidfModel, load_tfidf_model, tfidf_transform
+from .features import tfidf_transform
 from .ingest import split
 from .linear import (
     LinearTrainConfig,
     classify,
-    linear_model_from_payload,
     predict_proba,
-    save_linear_model,
     train_lr,
 )
 from .neural import (
@@ -32,8 +30,6 @@ from .neural import (
     RnnDims,
     encode_tokens,
     predict_sequences,
-    rnn_model_from_payload,
-    save_rnn_model,
     train_rnn,
 )
 from .pipeline import (
@@ -43,8 +39,13 @@ from .pipeline import (
     file_sha256,
     load_bundle,
     load_lexicons,
+    load_model,
+    load_report_metrics,
+    load_tfidf_model,
     prepare_bundle,
     read_json,
+    save_linear_model,
+    save_rnn_model,
     tfidf_rows,
     sequence_data,
     write_json,
@@ -87,10 +88,11 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     out = Path(cfg.out)
     initial = None
     if args.resume:
-        kind, initial, ref = _load_model(Path(args.resume))
+        kind, initial, ref = load_model(args.resume)
         if kind != args.kind:
             raise SchemaError(f"resume model {args.resume} is a {kind} model, not {args.kind}")
-        check_vocab_ref(bundle, ref, f"resume model {args.resume}")
+        check_vocab_ref(initial, ref, bundle.tfidf, bundle.vocab_ref,
+                        f"resume model {args.resume}")
     if args.kind == "logreg":
         X = tfidf_rows(bundle, bundle.train_ids)
         y = [bundle.examples[i].label for i in bundle.train_ids]
@@ -152,25 +154,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_model(model_path: Path):
-    """Parse a model file once and build the model its `kind` names.
-
-    Returns (kind, model, vocab_ref).
-    """
-    payload = read_json(model_path)
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind == "logreg":
-        model, ref = linear_model_from_payload(payload, model_path)
-    elif kind == "rnn":
-        model, ref = rnn_model_from_payload(payload, model_path)
-    else:
-        raise SchemaError(f"{model_path} has unknown model kind {kind!r}")
-    return kind, model, ref
-
-
 def _test_scores(cfg: PipelineConfig, bundle: Bundle, model_path: Path):
-    kind, model, ref = _load_model(model_path)
-    check_vocab_ref(bundle, ref, str(model_path))
+    kind, model, ref = load_model(model_path)
+    check_vocab_ref(model, ref, bundle.tfidf, bundle.vocab_ref, str(model_path))
     ids = bundle.test_ids
     if not ids:
         raise ValidationError("empty evaluation set")
@@ -205,23 +191,20 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _locate_vocab(cfg: PipelineConfig, model_path: Path, vocab_ref: str) -> TfidfModel:
-    candidates = [model_path.parent / "vocab.json", Path(cfg.out) / "vocab.json"]
-    for candidate in candidates:
+def _locate_vocab(cfg: PipelineConfig, model_path: Path) -> Path:
+    for candidate in (model_path.parent / "vocab.json", Path(cfg.out) / "vocab.json"):
         if candidate.exists():
-            if file_sha256(candidate) != vocab_ref:
-                raise SchemaError(
-                    f"vocabulary {candidate} does not hash to the model's vocab_ref"
-                )
-            return load_tfidf_model(candidate)
+            return candidate
     raise SchemaError(f"no vocab.json found near {model_path} or in {cfg.out}")
 
 
 def _scorer(cfg: PipelineConfig, model_path: Path):
     """Load a model and its vocabulary once; returns a function mapping
     tokens to (probability, whether no token reached the model)."""
-    kind, model, ref = _load_model(model_path)
-    tfidf = _locate_vocab(cfg, model_path, ref)
+    kind, model, ref = load_model(model_path)
+    vocab_path = _locate_vocab(cfg, model_path)
+    tfidf = load_tfidf_model(vocab_path)
+    check_vocab_ref(model, ref, tfidf, file_sha256(vocab_path), str(model_path))
     if kind == "logreg":
         def score(tokens):
             x = tfidf_transform(tfidf, tokens)
@@ -279,14 +262,12 @@ def cmd_sensitivity(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_compare(cfg: PipelineConfig, args) -> int:
-    a = read_json(args.report_a)
-    b = read_json(args.report_b)
+    a = load_report_metrics(args.report_a)
+    b = load_report_metrics(args.report_b)
     print("metric,report_a,report_b,delta")
-    for metric in ("accuracy", "precision", "recall", "f1"):
-        va = a["metrics"][metric]
-        vb = b["metrics"][metric]
+    for metric, va in a.items():
+        vb = b[metric]
         print(f"{metric},{va!r},{vb!r},{vb - va!r}")
-    print(f"auc,{a['auc']!r},{b['auc']!r},{b['auc'] - a['auc']!r}")
     return 0
 
 

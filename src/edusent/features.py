@@ -7,16 +7,14 @@ operates on binary term presence against the binary sentiment label.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .ingest import SentimentLabel
 
 
@@ -186,31 +184,3 @@ def presence_sets(corpus: Sequence[list], vocab: Vocabulary) -> list:
     t2i = vocab.term_to_index
     return [{t2i[t] for t in doc if t in t2i} for doc in corpus]
 
-
-def save_tfidf_model(model: TfidfModel, path: Union[str, Path]) -> None:
-    payload = {
-        "version": 1,
-        "terms": model.vocab.terms,
-        "df": model.vocab.doc_freq.tolist(),
-        "idf": model.idf.tolist(),
-        "n_docs": model.vocab.n_docs,
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_tfidf_model(path: Union[str, Path]) -> TfidfModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read vocabulary file {path}: {exc}") from exc
-    for key in ("version", "terms", "df", "idf", "n_docs"):
-        if key not in payload:
-            raise SchemaError(f"vocabulary file {path} lacks key {key!r}")
-    vocab = Vocabulary(
-        terms=list(payload["terms"]),
-        doc_freq=np.array(payload["df"], dtype=np.int64),
-        n_docs=int(payload["n_docs"]),
-    )
-    return TfidfModel(vocab=vocab, idf=np.array(payload["idf"], dtype=np.float64))

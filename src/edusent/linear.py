@@ -9,14 +9,12 @@ recorded loss history non-increasing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
 from .features import SparseVector, pack_rows
 from .ingest import SentimentLabel
 
@@ -194,36 +192,3 @@ def classify(p: float, threshold: float = 0.5) -> SentimentLabel:
         raise ValidationError(f"probability {p} outside [0, 1]")
     return SentimentLabel.POSITIVE if p >= threshold else SentimentLabel.NEGATIVE
 
-
-def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str) -> None:
-    payload = {
-        "version": 1,
-        "kind": "logreg",
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "vocab_ref": vocab_ref,
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def linear_model_from_payload(payload, source) -> tuple[LinearModel, str]:
-    """Build a model from a parsed version-1 logreg model file; returns
-    (model, vocab_ref)."""
-    if not isinstance(payload, dict) or payload.get("kind") != "logreg" \
-            or payload.get("version") != 1:
-        raise SchemaError(f"{source} is not a version-1 logreg model file")
-    model = LinearModel(
-        weights=np.array(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-    )
-    return model, str(payload.get("vocab_ref", ""))
-
-
-def load_linear_model(path: Union[str, Path]) -> tuple[LinearModel, str]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    return linear_model_from_payload(payload, path)

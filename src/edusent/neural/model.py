@@ -11,14 +11,12 @@ untrained model emits exactly 0.5.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import SchemaError, ValidationError
+from ..errors import ValidationError
 from ..linear import sigmoid
 
 
@@ -49,15 +47,6 @@ class RnnDims:
     hidden: int = 64
     attn_dim: int = 64
     max_len: int = 128
-
-    def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden": self.hidden,
-            "attn_dim": self.attn_dim,
-            "max_len": self.max_len,
-        }
 
 
 @dataclass
@@ -102,8 +91,10 @@ class RnnModel:
         yield "out.b", self.out_b
 
     def copy(self) -> "RnnModel":
-        return load_state({file_name: block for name, t in self.named_parameters()
-                           for file_name, block in _file_blocks(name, t.data)}, self.dims)
+        model = init_model(self.dims, seed=0)
+        for (_, dst), (_, src) in zip(model.named_parameters(), self.named_parameters()):
+            dst.data = src.data.copy()
+        return model
 
 
 @dataclass
@@ -344,73 +335,3 @@ def encode_tokens(tokens: Sequence[str], term_to_index: dict, max_len: int) -> l
     ids = [term_to_index[t] + 1 for t in tokens if t in term_to_index]
     return ids[:max_len]
 
-
-def _file_blocks(name: str, data: np.ndarray) -> list:
-    """The version-1 file entries of one parameter: a fused gate tensor is
-    stored as its i, f, o, g row blocks under `<name>_<gate>`."""
-    if name.startswith(("fwd.", "bwd.")):
-        return [(f"{name}_{gate}", block) for gate, block in zip("ifog", np.split(data, 4))]
-    return [(name, data)]
-
-
-def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
-    tensors = {
-        file_name: [list(block.shape), block.ravel().tolist()]
-        for name, t in model.named_parameters()
-        for file_name, block in _file_blocks(name, t.data)
-    }
-    payload = {
-        "version": 1,
-        "kind": "rnn",
-        "dims": model.dims.as_dict(),
-        "tensors": tensors,
-        "vocab_ref": vocab_ref,
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_state(arrays: dict, dims: RnnDims) -> RnnModel:
-    """Assemble a model from a {version-1 file name: array} mapping."""
-    model = init_model(dims, seed=0)
-    for name, tensor in model.named_parameters():
-        blocks = []
-        for file_name, block in _file_blocks(name, tensor.data):
-            data = arrays.get(file_name)
-            if data is None or data.shape != block.shape:
-                raise SchemaError(f"model state lacks a {list(block.shape)} tensor {file_name!r}")
-            blocks.append(data)
-        tensor.data = np.concatenate(blocks) if len(blocks) > 1 else blocks[0].copy()
-    return model
-
-
-def rnn_model_from_payload(payload, source) -> tuple[RnnModel, str]:
-    """Build a model from a parsed version-1 rnn model file; returns
-    (model, vocab_ref). Malformed dims or tensors raise SchemaError."""
-    if not isinstance(payload, dict) or payload.get("kind") != "rnn" \
-            or payload.get("version") != 1:
-        raise SchemaError(f"{source} is not a version-1 rnn model file")
-    dims = payload.get("dims")
-    fields = set(RnnDims.__dataclass_fields__)
-    if (not isinstance(dims, dict) or set(dims) != fields
-            or any(type(v) is not int or v < 1 for v in dims.values())):
-        raise SchemaError(f"{source}: dims {dims!r} are not positive integers "
-                          f"{sorted(fields)}")
-    try:
-        arrays = {name: np.array(flat, dtype=np.float64).reshape(shape)
-                  for name, (shape, flat) in payload["tensors"].items()}
-        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
-            raise ValueError("a tensor holds a value that is not finite")
-        model = load_state(arrays, RnnDims(**dims))
-    except (KeyError, AttributeError, TypeError, ValueError, SchemaError) as exc:
-        raise SchemaError(f"{source} has malformed tensors: {exc}") from exc
-    return model, str(payload.get("vocab_ref", ""))
-
-
-def load_rnn_model(path: Union[str, Path]) -> tuple[RnnModel, str]:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    return rnn_model_from_payload(payload, path)

@@ -1,19 +1,25 @@
-"""Shared orchestration: the on-disk dataset bundle and featurization paths.
+"""Shared orchestration: the on-disk dataset bundle, the model files and
+featurization paths.
 
 `prepare` writes a bundle directory of six files (cleaned examples, the
 frozen vocabulary + idf, the chi-squared report, the split manifest, the
 balance report, and the drop report). Training and evaluation read the
 bundle back and bind models to the vocabulary file's SHA-256 so stale
 model/vocabulary pairs are rejected.
+
+Only this module knows the file formats. Each JSON file is written whole
+or not at all (`write_json`) and checked when read (`read_json`, `_array`):
+a malformed file is a SchemaError that names it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -21,12 +27,11 @@ from .config import PipelineConfig, column_schema
 from .errors import SchemaError, ValidationError
 from .features import (
     TfidfModel,
+    Vocabulary,
     build_vocabulary,
     chi2_scores,
     fit_tfidf,
-    load_tfidf_model,
     presence_sets,
-    save_tfidf_model,
     select_top_k,
     tfidf_transform,
 )
@@ -38,7 +43,8 @@ from .ingest import (
     parse_csv,
     split,
 )
-from .neural import SequenceDataset, encode_tokens
+from .linear import LinearModel
+from .neural import RnnDims, RnnModel, SequenceDataset, encode_tokens, init_model
 from .resample import SmoteConfig, class_weights, minority_gap, smote_sparse
 from .textprep import LemmaRuleTable, StopwordList, preprocess
 
@@ -50,37 +56,176 @@ BUNDLE_FILES = (
     "balance.json",
     "drop_report.json",
 )
+_LABELS = {str(label): label for label in SentimentLabel}
 
 
 def file_sha256(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
+    """Stream `chunks` into a temporary file beside `path`, then move it over
+    `path`: a reader sees the old file or the whole new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: Union[str, Path], payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2), "\n"))
 
 
 def read_json(path: Union[str, Path]) -> dict:
+    """Parse a JSON file that edusent wrote: an object with "version": 1."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"missing file: {path}") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("version") != 1:
+        raise SchemaError(f"{path} is not a version-1 edusent JSON object")
+    return payload
+
+
+def _array(value, what: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """`value` as a finite `dtype` array of `shape`, where a None dimension
+    matches any length; anything else is a SchemaError naming `what`."""
+    try:
+        raw = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise SchemaError(f"{what} is not a numeric array: {exc}") from exc
+    kinds = "iuf" if dtype is np.float64 else "iu"  # an empty list parses as float
+    if ((raw.size and raw.dtype.kind not in kinds) or raw.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, raw.shape))
+            or not np.all(np.isfinite(raw))):
+        raise SchemaError(f"{what} is not a finite {np.dtype(dtype)} array of shape "
+                          + str(shape).replace("None", "n"))
+    return raw.astype(dtype, copy=False)
+
+
+def save_tfidf_model(model: TfidfModel, path: Union[str, Path]) -> None:
+    write_json(path, {
+        "version": 1,
+        "terms": model.vocab.terms,
+        "df": model.vocab.doc_freq.tolist(),
+        "idf": model.idf.tolist(),
+        "n_docs": model.vocab.n_docs,
+    })
+
+
+def load_tfidf_model(path: Union[str, Path]) -> TfidfModel:
+    payload = read_json(path)
+    terms, n_docs = payload.get("terms"), payload.get("n_docs")
+    if not (isinstance(terms, list) and set(map(type, terms)) == {str}):
+        raise SchemaError(f"{path}: terms are not a non-empty list of strings")
+    if type(n_docs) is not int or n_docs < 1:
+        raise SchemaError(f"{path}: n_docs {n_docs!r} is not a positive integer")
+    n = (len(terms),)
+    df = _array(payload.get("df"), f"{path}: df", n, np.int64)
+    return TfidfModel(vocab=Vocabulary(terms=terms, doc_freq=df, n_docs=n_docs),
+                      idf=_array(payload.get("idf"), f"{path}: idf", n))
+
+
+def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str) -> None:
+    write_json(path, {
+        "version": 1,
+        "kind": "logreg",
+        "weights": model.weights.tolist(),
+        "bias": model.bias,
+        "vocab_ref": vocab_ref,
+    })
+
+
+def _file_blocks(name: str, data: np.ndarray) -> list:
+    """The version-1 file entries of one parameter: a fused gate tensor is
+    stored as its i, f, o, g row blocks under `<name>_<gate>`."""
+    if name.startswith(("fwd.", "bwd.")):
+        return [(f"{name}_{gate}", block) for gate, block in zip("ifog", np.split(data, 4))]
+    return [(name, data)]
+
+
+def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
+    write_json(path, {
+        "version": 1,
+        "kind": "rnn",
+        "dims": asdict(model.dims),
+        "tensors": {
+            file_name: [list(block.shape), block.ravel().tolist()]
+            for name, t in model.named_parameters()
+            for file_name, block in _file_blocks(name, t.data)
+        },
+        "vocab_ref": vocab_ref,
+    })
+
+
+def _rnn_model(payload: dict, path) -> RnnModel:
+    dims, tensors = payload.get("dims"), payload.get("tensors")
+    fields = set(RnnDims.__dataclass_fields__)
+    if (not isinstance(dims, dict) or set(dims) != fields
+            or any(type(v) is not int or v < 1 for v in dims.values())):
+        raise SchemaError(f"{path}: dims {dims!r} are not positive integers "
+                          f"{sorted(fields)}")
+    if not isinstance(tensors, dict):
+        raise SchemaError(f"{path}: tensors are not an object")
+    model = init_model(RnnDims(**dims), seed=0)
+    for name, tensor in model.named_parameters():
+        blocks = []
+        for file_name, block in _file_blocks(name, tensor.data):
+            entry = tensors.get(file_name)
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and entry[0] == list(block.shape)):
+                raise SchemaError(f"{path} lacks a {list(block.shape)} tensor {file_name!r}")
+            blocks.append(_array(entry[1], f"{path}: tensor {file_name!r}", (block.size,)))
+        tensor.data = np.concatenate(blocks).reshape(tensor.shape)
+    return model
+
+
+def load_model(path: Union[str, Path]) -> tuple:
+    """Parse a model file once and build the model its `kind` names.
+
+    Returns (kind, model, vocab_ref).
+    """
+    payload = read_json(path)
+    kind = payload.get("kind")
+    if kind == "logreg":
+        model = LinearModel(
+            weights=_array(payload.get("weights"), f"{path}: weights", (None,)),
+            bias=float(_array(payload.get("bias"), f"{path}: bias", ())),
+        )
+    elif kind == "rnn":
+        model = _rnn_model(payload, path)
+    else:
+        raise SchemaError(f"{path} has unknown model kind {kind!r}")
+    return kind, model, str(payload.get("vocab_ref", ""))
+
+
+def load_report_metrics(path: Union[str, Path]) -> dict:
+    """accuracy, precision, recall, f1 and auc of an evaluation report."""
+    payload = read_json(path)
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, dict):
+        raise SchemaError(f"{path} has no metrics object")
+    names = ("accuracy", "precision", "recall", "f1")
+    values = _array([metrics.get(m) for m in names] + [payload.get("auc")],
+                    f"{path}: metrics and auc", (len(names) + 1,))
+    return dict(zip(names + ("auc",), values.tolist()))
 
 
 @dataclass
 class Bundle:
-    root: Path
     examples: list  # LabeledExample, cleaned, in bundle order
     tfidf: TfidfModel
     vocab_ref: str
     train_ids: list
     test_ids: list
-    seed: int
-    fraction: float
 
     def subset(self, ids: Sequence[int]) -> list:
         return [self.examples[i] for i in ids]
@@ -114,12 +259,10 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with (out / "examples.jsonl").open("w", encoding="utf-8") as fh:
-        for i, ex in enumerate(examples):
-            fh.write(json.dumps(
-                {"id": i, "label": str(ex.label), "raw": ex.raw_comment,
-                 "tokens": ex.tokens},
-                sort_keys=True) + "\n")
+    _write_atomic(out / "examples.jsonl", (
+        json.dumps({"id": i, "label": str(ex.label), "raw": ex.raw_comment,
+                    "tokens": ex.tokens}, sort_keys=True) + "\n"
+        for i, ex in enumerate(examples)))
 
     save_tfidf_model(tfidf, out / "vocab.json")
 
@@ -152,39 +295,53 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _read_examples(path: Path) -> list:
+    examples = []
+    line_no = 0
+    try:
+        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            row = json.loads(line)
+            tokens, raw, label = row["tokens"], row["raw"], _LABELS[row["label"]]
+            if not (isinstance(tokens, list) and isinstance(raw, str)):
+                raise TypeError("tokens are not a list, or raw is not a string")
+            "".join(tokens)  # a TypeError unless every token is a string
+            examples.append(LabeledExample(tokens=tokens, raw_comment=raw, label=label))
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or UTF-8
+        raise SchemaError(f"{path} is malformed at line {line_no}: {exc!r}") from exc
+    return examples
+
+
 def load_bundle(root: Union[str, Path]) -> Bundle:
     root = Path(root)
     for name in ("examples.jsonl", "vocab.json", "split.json"):
         if not (root / name).exists():
             raise SchemaError(f"missing bundle file: {root / name}")
-    examples = []
-    for line in (root / "examples.jsonl").read_text(encoding="utf-8").splitlines():
-        row = json.loads(line)
-        examples.append(LabeledExample(
-            tokens=list(row["tokens"]),
-            raw_comment=row["raw"],
-            label=SentimentLabel.from_string(row["label"]),
-        ))
-    tfidf = load_tfidf_model(root / "vocab.json")
+    examples = _read_examples(root / "examples.jsonl")
     manifest = read_json(root / "split.json")
+    ids = {key: _array(manifest.get(key), f"{root / 'split.json'}: {key}", (None,),
+                       np.int64).tolist() for key in ("train_ids", "test_ids")}
+    if any(not 0 <= i < len(examples) for i in ids["train_ids"] + ids["test_ids"]):
+        raise SchemaError(f"{root / 'split.json'} names an example outside the "
+                          f"{len(examples)} rows of examples.jsonl")
     return Bundle(
-        root=root,
         examples=examples,
-        tfidf=tfidf,
+        tfidf=load_tfidf_model(root / "vocab.json"),
         vocab_ref=file_sha256(root / "vocab.json"),
-        train_ids=list(manifest["train_ids"]),
-        test_ids=list(manifest["test_ids"]),
-        seed=int(manifest["seed"]),
-        fraction=float(manifest["fraction"]),
+        **ids,
     )
 
 
-def check_vocab_ref(bundle: Bundle, vocab_ref: str, what: str) -> None:
-    if vocab_ref != bundle.vocab_ref:
-        raise SchemaError(
-            f"{what} was trained against vocabulary {vocab_ref[:12]}... but the "
-            f"bundle's vocabulary hashes to {bundle.vocab_ref[:12]}..."
-        )
+def check_vocab_ref(model: Union[LinearModel, RnnModel], vocab_ref: str,
+                    tfidf: TfidfModel, tfidf_ref: str, what: str) -> None:
+    """Reject a model bound to another vocabulary file, or one whose width
+    is not its vocabulary's size."""
+    if vocab_ref != tfidf_ref:
+        raise SchemaError(f"{what} was trained against vocabulary {vocab_ref[:12]}... "
+                          f"but the vocabulary hashes to {tfidf_ref[:12]}...")
+    width = model.dim if isinstance(model, LinearModel) else model.dims.vocab_size
+    if width != len(tfidf.vocab):
+        raise SchemaError(f"{what} is {width} terms wide, but its vocabulary "
+                          f"holds {len(tfidf.vocab)} terms")
 
 
 def tfidf_rows(bundle: Bundle, ids: Sequence[int]) -> list:

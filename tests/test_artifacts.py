@@ -1,0 +1,240 @@
+"""The artifact layer: every file a command reads back is checked at load
+(a malformed one exits 2 and names the file), written atomically, and
+survives load -> save byte for byte."""
+
+import errno
+import json
+import shutil
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import edusent.pipeline
+from edusent.cli import main
+from edusent.linear import LinearModel
+from edusent.neural import RnnDims, init_model
+from edusent.pipeline import (
+    BUNDLE_FILES,
+    load_bundle,
+    load_model,
+    load_tfidf_model,
+    save_linear_model,
+    save_rnn_model,
+    save_tfidf_model,
+    write_json,
+)
+
+TEXT = "The lecture was engaging and informative."
+
+
+def _prepare(sample_csv, out: Path) -> Path:
+    assert main(["prepare", "--data", str(sample_csv), "--out", str(out),
+                 "--k", "400", "--seed", "7"]) == 0
+    return out
+
+
+@pytest.fixture()
+def bundle_dir(tmp_path, sample_csv) -> Path:
+    return _prepare(sample_csv, tmp_path / "bundle")
+
+
+def _write_models(root: Path, rnn_vocab_size=None) -> None:
+    """An untrained model of each kind, bound to the bundle's vocabulary."""
+    bundle = load_bundle(root)
+    n = len(bundle.tfidf.vocab)
+    save_linear_model(LinearModel(weights=np.zeros(n), bias=0.0),
+                      root / "model_logreg.json", bundle.vocab_ref)
+    dims = RnnDims(vocab_size=rnn_vocab_size or n, embed_dim=4, hidden=3, attn_dim=3)
+    save_rnn_model(init_model(dims, seed=0), root / "model_rnn.json", bundle.vocab_ref)
+
+
+def _edit_json(edit):
+    def apply(path: Path) -> None:
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return apply
+
+
+def _edit_first_example(edit):
+    def apply(path: Path) -> None:
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        edit(row)
+        path.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+    return apply
+
+
+def _cut_third_line(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    path.write_text("".join(lines))
+
+
+def _set(key, value):
+    return lambda p: p.__setitem__(key, value)
+
+
+def _argv(root: Path, argv: list) -> list:
+    """`argv` with each `@name` made the path of the bundle file `name`."""
+    return [str(root / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+TRAIN = ["train", "logreg", "--lr-epochs", "5"]
+PREDICT_LR = ["predict", "--model", "@model_logreg.json", TEXT]
+EVALUATE_LR = ["evaluate", "--no-plots", "--model", "@model_logreg.json"]
+
+
+class TestMalformedArtifact:
+    @pytest.mark.parametrize("name, corrupt, argv", [
+        ("examples.jsonl", _cut_third_line, TRAIN),
+        ("examples.jsonl", _edit_first_example(lambda r: r.pop("tokens")), TRAIN),
+        ("examples.jsonl", _edit_first_example(_set("label", "Meh")), TRAIN),
+        ("model_logreg.json", _edit_json(lambda p: p.pop("weights")), PREDICT_LR),
+        ("model_logreg.json", _edit_json(_set("bias", "a")), PREDICT_LR),
+        ("model_logreg.json", _edit_json(_set("bias", float("nan"))), PREDICT_LR),
+        ("model_logreg.json", _edit_json(_set("weights", [0.0, 0.0, 0.0])), PREDICT_LR),
+        ("model_logreg.json", _edit_json(_set("weights", [0.0, 0.0, 0.0])), EVALUATE_LR),
+        ("vocab.json", _edit_json(lambda p: p["idf"].pop()), TRAIN),
+        ("split.json", _edit_json(lambda p: p.pop("test_ids")), TRAIN),
+        ("split.json", _edit_json(lambda p: p["train_ids"].__setitem__(0, 10**6)), TRAIN),
+        ("split.json", lambda path: path.write_text("[1, 2]"), TRAIN),
+        ("model_rnn.json", lambda path: _write_models(path.parent, rnn_vocab_size=5),
+         ["evaluate", "--no-plots", "--model", "@model_rnn.json"]),
+        ("eval.json", lambda path: path.write_text('{"version": 1}'),
+         ["compare", "@eval.json", "@eval.json"]),
+    ], ids=["examples-cut-line", "examples-no-tokens", "examples-unknown-label",
+            "logreg-no-weights", "logreg-string-bias", "logreg-nan-bias",
+            "logreg-narrow-predict", "logreg-narrow-evaluate", "vocab-short-idf",
+            "split-no-test-ids", "split-id-out-of-range", "split-list",
+            "rnn-narrow-evaluate", "report-no-metrics"])
+    def test_exits_2_naming_the_file(self, bundle_dir, capsys, name, corrupt, argv):
+        _write_models(bundle_dir)
+        corrupt(bundle_dir / name)
+        rc = main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)])
+        assert rc == 2
+        assert str(bundle_dir / name) in capsys.readouterr().err
+
+
+class _FullDisk:
+    """A text file that takes `room` characters, then fails as a full disk does."""
+
+    def __init__(self, fh, room: int):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text: str) -> None:
+        self.fh.write(text[: self.room])
+        if len(text) > self.room:
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+
+
+class TestAtomicWrite:
+    def _fill_disk_after(self, monkeypatch, room: int) -> None:
+        monkeypatch.setattr(edusent.pipeline, "open",
+                            lambda file, mode="r", **kw: _FullDisk(open(file, mode, **kw), room),
+                            raising=False)
+
+    def test_write_json_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        write_json(target, {"version": 1, "values": [0.5]})
+        old = target.read_bytes()
+        new = {"version": 1, "values": list(range(500))}
+        self._fill_disk_after(monkeypatch, len(json.dumps(new, indent=2)) // 2)
+        with pytest.raises(OSError):
+            write_json(target, new)
+        assert target.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_prepare_keeps_old_examples(self, bundle_dir, sample_csv, monkeypatch):
+        old = (bundle_dir / "examples.jsonl").read_bytes()
+        self._fill_disk_after(monkeypatch, len(old) // 2)
+        assert main(["prepare", "--data", str(sample_csv), "--out", str(bundle_dir),
+                     "--k", "400", "--seed", "7"]) == 2
+        assert (bundle_dir / "examples.jsonl").read_bytes() == old
+        assert sorted(p.name for p in bundle_dir.iterdir()) == sorted(BUNDLE_FILES)
+
+
+def test_sample_files_resave_byte_identical(bundle_dir, tmp_path):
+    assert main(["train", "logreg", "--out", str(bundle_dir), "--seed", "7"]) == 0
+    save_tfidf_model(load_tfidf_model(bundle_dir / "vocab.json"), tmp_path / "vocab.json")
+    _, model, ref = load_model(bundle_dir / "model_logreg.json")
+    save_linear_model(model, tmp_path / "model_logreg.json", ref)
+    for name in ("vocab.json", "model_logreg.json"):
+        assert (tmp_path / name).read_bytes() == (bundle_dir / name).read_bytes()
+
+
+# --- fuzzing: a mutated artifact never makes a command raise -----------------
+
+FUZZ_READERS = {
+    "examples.jsonl": TRAIN,
+    "vocab.json": TRAIN,
+    "split.json": TRAIN,
+    "model_logreg.json": PREDICT_LR,
+    "model_rnn.json": ["predict", "--model", "@model_rnn.json", TEXT],
+    "eval_logreg.json": ["compare", "@eval_logreg.json", "@eval_logreg.json"],
+}
+DROP = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory, sample_csv):
+    root = _prepare(sample_csv, tmp_path_factory.mktemp("fuzz") / "bundle")
+    _write_models(root)
+    assert main(TRAIN + ["--out", str(root)]) == 0  # a trained logreg model and its log
+    assert main(["evaluate", "--no-plots", "--out", str(root),
+                 "--model", str(root / "model_logreg.json")]) == 0
+    yield root, {p.name: p.read_bytes() for p in root.iterdir()}
+    shutil.rmtree(root)
+
+
+def _paths(node, path=()):
+    """The path to every value below a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(raw: bytes, jsonl: bool, data) -> bytes:
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="cut at")]
+    text = raw.decode("utf-8")
+    doc = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    parent = reduce(getitem, path[:-1], doc)
+    value = data.draw(st.sampled_from([DROP, None, "x", float("nan"), [[1.0]]]), label="value")
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    out = "".join(json.dumps(row) + "\n" for row in doc) if jsonl else json.dumps(doc)
+    return out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_READERS))
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_artifact_exits_cleanly(fuzz_bundle, name, data):
+    root, pristine = fuzz_bundle
+    mutated = _mutate(pristine[name], name.endswith(".jsonl"), data)
+    try:
+        (root / name).write_bytes(mutated)
+        rc = main([*_argv(root, FUZZ_READERS[name]), "--out", str(root)])
+    finally:
+        for n, raw in pristine.items():
+            (root / n).write_bytes(raw)
+    assert rc in (0, 1, 2)
+    assert sorted(p.name for p in root.iterdir()) == sorted(pristine)

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 import edusent.cli
+import edusent.pipeline
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.features import build_vocabulary, chi2_scores, presence_sets
-from edusent.neural import RnnDims, init_model, save_rnn_model
-from edusent.pipeline import BUNDLE_FILES, load_bundle
+from edusent.neural import RnnDims, init_model
+from edusent.pipeline import BUNDLE_FILES, load_bundle, save_rnn_model
 
 FAST_RNN = ["--rnn-epochs", "6", "--embed-dim", "8", "--hidden-dim", "8",
             "--attn-dim", "6", "--rnn-rate", "0.01", "--patience", "0",
@@ -307,14 +308,17 @@ class TestMalformedRnnModel:
 class TestSensitivity:
     def test_each_model_parsed_and_hashed_once(self, trained_dir, monkeypatch):
         calls = {"read_json": 0, "file_sha256": 0}
-        for name in calls:
-            real = getattr(edusent.cli, name)
+        # each name is patched where its caller looks it up; vocab.json
+        # parses also go through read_json, so only model files count
+        for module, name in ((edusent.pipeline, "read_json"), (edusent.cli, "file_sha256")):
+            real = getattr(module, name)
 
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+            def counted(path, _real=real, _name=name):
+                if _name != "read_json" or Path(path).name.startswith("model_"):
+                    calls[_name] += 1
+                return _real(path)
 
-            monkeypatch.setattr(edusent.cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert main(["sensitivity", "--out", str(trained_dir), "--no-plots",
                      "--lr-model", str(trained_dir / "model_logreg.json"),
                      "--rnn-model", str(trained_dir / "model_rnn.json")]) == 0

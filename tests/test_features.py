@@ -13,13 +13,12 @@ from edusent.features import (
     chi2_from_counts,
     chi2_scores,
     fit_tfidf,
-    load_tfidf_model,
     pack_rows,
     presence_sets,
-    save_tfidf_model,
     select_top_k,
     tfidf_transform,
 )
+from edusent.pipeline import load_tfidf_model, save_tfidf_model
 
 
 class TestVocabulary:

@@ -10,14 +10,13 @@ from edusent.linear import (
     LinearModel,
     LinearTrainConfig,
     classify,
-    load_linear_model,
     lr_gradient,
     lr_objective,
     predict_proba,
-    save_linear_model,
     sigmoid,
     train_lr,
 )
+from edusent.pipeline import load_model, save_linear_model
 
 
 class TestSigmoid:
@@ -190,7 +189,7 @@ class TestPersistence:
         model = LinearModel(weights=np.array([0.25, -1.5]), bias=0.75)
         path = tmp_path / "model_logreg.json"
         save_linear_model(model, path, vocab_ref="abc123")
-        loaded, ref = load_linear_model(path)
+        _, loaded, ref = load_model(path)
         assert ref == "abc123"
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
@@ -201,4 +200,4 @@ class TestPersistence:
         from edusent.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            load_linear_model(path)
+            load_model(path)

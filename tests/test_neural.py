@@ -16,12 +16,11 @@ from edusent.neural import (
     encode_tokens,
     forward,
     init_model,
-    load_rnn_model,
     lstm_step,
     predict_sequences,
-    save_rnn_model,
 )
 from edusent.neural.model import LstmCellParams, Tensor
+from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
 V1_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v1.json"
@@ -235,7 +234,7 @@ class TestPersistence:
         model.out_w.data[:] = np.linspace(-0.4, 0.4, 2 * DIMS.hidden)
         path = tmp_path / "model_rnn.json"
         save_rnn_model(model, path, vocab_ref="deadbeef")
-        loaded, ref = load_rnn_model(path)
+        _, loaded, ref = load_model(path)
         assert ref == "deadbeef"
         batch = build_batch([[1, 5, 3]], [1.0], DIMS.max_len)
         np.testing.assert_array_equal(forward(model, batch).probs,
@@ -247,7 +246,7 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "kind": "logreg"}')
         with pytest.raises(SchemaError):
-            load_rnn_model(path)
+            load_model(path)
 
 
 class TestFusedLayout:
@@ -286,13 +285,13 @@ class TestVersion1Fixture:
              0.31870937380012815, 0.2775446772837909]
 
     def test_load_and_save_round_trips_bytes(self, tmp_path):
-        model, ref = load_rnn_model(V1_FIXTURE)
+        _, model, ref = load_model(V1_FIXTURE)
         path = tmp_path / "resaved.json"
         save_rnn_model(model, path, ref)
         assert path.read_bytes() == V1_FIXTURE.read_bytes()
 
     def test_predictions_match_stored(self):
-        model, _ = load_rnn_model(V1_FIXTURE)
+        _, model, _ = load_model(V1_FIXTURE)
         np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
                                    self.PROBS, rtol=1e-12, atol=0)
 
@@ -322,10 +321,10 @@ class TestMalformedModelFile:
             "infinite-bias"])
     def test_schema_error(self, tmp_path, edit):
         with pytest.raises(SchemaError):
-            load_rnn_model(self._corrupt(tmp_path, edit))
+            load_model(self._corrupt(tmp_path, edit))
 
     def test_binary_file_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe\x00")
         with pytest.raises(SchemaError):
-            load_rnn_model(path)
+            load_model(path)
