@@ -34,7 +34,6 @@ from .neural import (
 )
 from .pipeline import (
     Bundle,
-    balance_sparse,
     check_vocab_ref,
     file_sha256,
     load_bundle,
@@ -50,7 +49,7 @@ from .pipeline import (
     sequence_data,
     write_json,
 )
-from .resample import SmoteConfig, class_weights
+from .resample import SmoteConfig, balance_sparse, class_weights
 from .svgplot import confusion_matrix_svg, roc_curve_svg, sensitivity_bars_svg
 from .textprep import preprocess
 
@@ -101,7 +100,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         result = train_lr(
             Xb, yb,
             LinearTrainConfig(learning_rate=cfg.lr_learning_rate,
-                              epochs=cfg.lr_epochs, l2=cfg.lr_l2, seed=cfg.seed),
+                              epochs=cfg.lr_epochs, l2=cfg.lr_l2),
             dim=len(bundle.tfidf.vocab),
             initial=initial,
         )
@@ -162,7 +161,7 @@ def _test_scores(cfg: PipelineConfig, bundle: Bundle, model_path: Path):
         raise ValidationError("empty evaluation set")
     y_true = [bundle.examples[i].label for i in ids]
     if kind == "logreg":
-        scores = [predict_proba(model, x) for x in tfidf_rows(bundle, ids)]
+        scores = predict_proba(model, tfidf_rows(bundle, ids)).tolist()
     else:
         ds, _ = sequence_data(bundle, ids, model.dims.max_len, drop_empty=False)
         scores = [float(p) for p in predict_sequences(model, ds.sequences)]
@@ -207,8 +206,8 @@ def _scorer(cfg: PipelineConfig, model_path: Path):
     check_vocab_ref(model, ref, tfidf, file_sha256(vocab_path), str(model_path))
     if kind == "logreg":
         def score(tokens):
-            x = tfidf_transform(tfidf, tokens)
-            return predict_proba(model, x), not x.pairs
+            x = tfidf_transform(tfidf, [tokens])
+            return float(predict_proba(model, x)[0]), not x.indices.size
     else:
         def score(tokens):
             ids = encode_tokens(tokens, tfidf.vocab.term_to_index, model.dims.max_len)

@@ -3,12 +3,16 @@
 Conventions: idf uses the smoothed form ln((1+N)/(1+df)) + 1, document
 vectors are raw term counts times idf then L2-normalized, and chi-squared
 operates on binary term presence against the binary sentiment label.
+
+Documents become the rows of one `Csr` matrix, the only row format of the
+linear path: SMOTE appends rows to it and logistic regression trains on
+and scores it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -35,30 +39,22 @@ class Vocabulary:
         return len(self.terms)
 
 
-@dataclass
-class SparseVector:
-    """Sorted (index, weight) pairs; zero weights are never stored."""
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Rows of a sparse matrix: row i holds the columns
+    indices[indptr[i]:indptr[i+1]], ascending, with their values."""
 
-    pairs: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(sum(w * w for _, w in self.pairs)))
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
-    def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        for i, w in self.pairs:
-            out[i] = w
-        return out
-
-
-def pack_rows(X: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, values) of sparse rows: row i holds
-    indices[indptr[i]:indptr[i+1]] with their values, in pair order."""
-    lengths = np.fromiter((len(x.pairs) for x in X), dtype=np.int64, count=len(X))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(x.pairs for x in X)),
-                       dtype=np.float64, count=2 * int(indptr[-1])).reshape(-1, 2)
-    return indptr, flat[:, 0].astype(np.int64), flat[:, 1].copy()
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 @dataclass
@@ -98,21 +94,26 @@ def fit_tfidf(vocab: Vocabulary) -> TfidfModel:
     return TfidfModel(vocab=vocab, idf=idf)
 
 
-def tfidf_transform(model: TfidfModel, doc: list) -> SparseVector:
-    """Counts x idf, L2-normalized; out-of-vocabulary tokens are ignored.
+def tfidf_transform(model: TfidfModel, docs: Sequence[list]) -> Csr:
+    """One row per document: counts x idf, L2-normalized; out-of-vocabulary
+    tokens are ignored.
 
-    A document with no in-vocabulary tokens yields the zero vector (empty
-    pairs), which is left unnormalized.
+    A document with no in-vocabulary tokens yields an empty row, which is
+    left unnormalized. Each row's norm sums its squared weights left to
+    right in column order.
     """
-    counts = Counter(t for t in doc if t in model.vocab.term_to_index)
-    if not counts:
-        return SparseVector(pairs=[])
-    pairs = sorted(
-        (model.vocab.term_to_index[t], c * model.idf[model.vocab.term_to_index[t]])
-        for t, c in counts.items()
-    )
-    norm = np.sqrt(sum(w * w for _, w in pairs))
-    return SparseVector(pairs=[(i, w / norm) for i, w in pairs])
+    t2i = model.vocab.term_to_index
+    hits = [[t2i[t] for t in doc if t in t2i] for doc in docs]
+    lengths = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    dim = len(model.vocab)
+    keys = np.repeat(np.arange(len(hits)), lengths) * dim + np.fromiter(
+        chain.from_iterable(hits), dtype=np.int64, count=int(lengths.sum()))
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, dim)
+    weights = counts * model.idf[indices]
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(hits)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(hits)))))
+    return Csr(indptr, indices, weights / norms[rows])
 
 
 def chi2_from_counts(a, b, c, d):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import SparseVector, pack_rows
+from .features import Csr
 from .ingest import SentimentLabel
 
 
@@ -34,7 +34,6 @@ class LinearTrainConfig:
     learning_rate: float = 0.1
     epochs: int = 200
     l2: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0:
@@ -64,55 +63,49 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-@dataclass
-class _Packed:
-    """Training rows as CSR-style arrays, with each entry's row and the 0/1 labels."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    rows: np.ndarray
-    y: np.ndarray
-
-
-def _pack(X: Sequence[SparseVector], y: Sequence[SentimentLabel], dim: int) -> _Packed:
-    indptr, indices, values = pack_rows(X)
-    if indices.size and indices.max() >= dim:
+def _check_width(X: Csr, dim: int) -> None:
+    if X.indices.size and X.indices.max() >= dim:
         raise ValidationError(
-            f"feature index {indices.max()} exceeds model dimension {dim}")
-    rows = np.repeat(np.arange(len(X)), np.diff(indptr))
-    return _Packed(indices, values, rows, np.array([float(int(lab)) for lab in y]))
+            f"feature index {X.indices.max()} exceeds model dimension {dim}")
 
 
-def _logits(d: _Packed, w: np.ndarray, b: float) -> np.ndarray:
+def _targets(X: Csr, y: Sequence[SentimentLabel], dim: int) -> np.ndarray:
+    """The 0/1 labels as floats, once X is checked to fit `dim` columns."""
+    _check_width(X, dim)
+    return np.array([float(int(lab)) for lab in y])
+
+
+def _logits(X: Csr, w: np.ndarray, b: float) -> np.ndarray:
     # bincount sums each row's products in entry order
-    return np.bincount(d.rows, weights=d.values * w[d.indices], minlength=len(d.y)) + b
+    return np.bincount(X.rows, weights=X.values * w[X.indices], minlength=len(X)) + b
 
 
-def _objective(d: _Packed, w: np.ndarray, b: float, l2: float) -> float:
-    z = _logits(d, w, b)
-    return float(np.mean(_softplus(z) - d.y * z)) + 0.5 * l2 * float(w @ w)
+def _objective(X: Csr, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> float:
+    z = _logits(X, w, b)
+    return float(np.mean(_softplus(z) - y * z)) + 0.5 * l2 * float(w @ w)
 
 
-def _gradient(d: _Packed, w: np.ndarray, b: float, l2: float) -> tuple[np.ndarray, float]:
-    resid = (sigmoid(_logits(d, w, b)) - d.y) / len(d.y)
-    gw = np.bincount(d.indices, weights=d.values * resid[d.rows], minlength=w.shape[0])
+def _gradient(X: Csr, y: np.ndarray, w: np.ndarray, b: float,
+              l2: float) -> tuple[np.ndarray, float]:
+    resid = (sigmoid(_logits(X, w, b)) - y) / len(y)
+    gw = np.bincount(X.indices, weights=X.values * resid[X.rows], minlength=w.shape[0])
     gw += l2 * w
     return gw, float(np.sum(resid))
 
 
 def lr_objective(
-    X: Sequence[SparseVector],
+    X: Csr,
     y: Sequence[SentimentLabel],
     w: np.ndarray,
     b: float,
     l2: float,
 ) -> float:
     """Mean BCE + (l2/2)*||w||^2 at (w, b), computed from logits stably."""
-    return _objective(_pack(X, y, w.shape[0]), w, b, l2)
+    return _objective(X, _targets(X, y, w.shape[0]), w, b, l2)
 
 
 def lr_gradient(
-    X: Sequence[SparseVector],
+    X: Csr,
     y: Sequence[SentimentLabel],
     w: np.ndarray,
     b: float,
@@ -120,38 +113,30 @@ def lr_gradient(
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of lr_objective: mean (sigma(z) - y) x + l2 w, and the
     bias part mean (sigma(z) - y)."""
-    return _gradient(_pack(X, y, w.shape[0]), w, b, l2)
+    return _gradient(X, _targets(X, y, w.shape[0]), w, b, l2)
 
 
 def train_lr(
-    X: Sequence[SparseVector],
+    X: Csr,
     y: Sequence[SentimentLabel],
     cfg: LinearTrainConfig,
-    dim: Optional[int] = None,
+    dim: int,
     initial: Optional[LinearModel] = None,
 ) -> LinearTrainResult:
-    """Fit the baseline on sparse TF-IDF rows.
-
-    `dim` is the frozen vocabulary size; when omitted it is inferred from
-    the largest feature index present. `initial` warm-starts from an
-    existing model instead of the zero init.
+    """Fit the baseline on TF-IDF rows of width `dim`, the frozen
+    vocabulary size. `initial` warm-starts from an existing model instead
+    of the zero init.
     """
-    if not X or len(X) != len(y):
+    if not len(X) or len(X) != len(y):
         raise ValidationError("X and y must be non-empty and equal-length")
     labels = {int(lab) for lab in y}
     if labels != {0, 1}:
         raise ValidationError("training requires both classes present")
-    if dim is None:
-        dim = 1 + max((x.pairs[-1][0] for x in X if x.pairs), default=-1)
-        if initial is not None:
-            dim = max(dim, initial.dim)
-    if dim < 1:
-        raise ValidationError("cannot infer a positive feature dimension")
     if initial is not None and initial.dim != dim:
         raise ValidationError(
             f"initial model dimension {initial.dim} does not match {dim}")
 
-    data = _pack(X, y, dim)
+    targets = _targets(X, y, dim)
 
     if initial is not None:
         w = initial.weights.copy()
@@ -160,14 +145,14 @@ def train_lr(
         w = np.zeros(dim)
         b = 0.0
     lr = cfg.learning_rate
-    loss = _objective(data, w, b, cfg.l2)
+    loss = _objective(X, targets, w, b, cfg.l2)
     history = [loss]
     for _ in range(cfg.epochs):
-        gw, gb = _gradient(data, w, b, cfg.l2)
+        gw, gb = _gradient(X, targets, w, b, cfg.l2)
         for _attempt in range(64):
             w_new = w - lr * gw
             b_new = b - lr * gb
-            new_loss = _objective(data, w_new, b_new, cfg.l2)
+            new_loss = _objective(X, targets, w_new, b_new, cfg.l2)
             if new_loss <= loss + 1e-9:
                 break
             lr *= 0.5
@@ -176,14 +161,20 @@ def train_lr(
     return LinearTrainResult(model=LinearModel(weights=w, bias=b), loss_history=history)
 
 
-def predict_proba(model: LinearModel, x: SparseVector) -> float:
-    """sigma(w . x + b); an empty sparse vector scores sigma(b)."""
-    z = model.bias
-    for idx, value in x.pairs:
-        if idx >= model.dim or idx < 0:
-            raise ValidationError(f"feature index {idx} outside model dimension {model.dim}")
-        z += model.weights[idx] * value
-    return float(sigmoid(z))
+def predict_proba(model: LinearModel, X: Csr) -> np.ndarray:
+    """sigma(b + w . x) for every row x of X; an empty row scores sigma(b).
+
+    Each row's logit starts from the bias and adds its products in entry
+    order, the same sum as scoring one row at a time.
+    """
+    _check_width(X, model.dim)
+    n = len(X)
+    # row i's summands: the bias, then its products; bincount adds them in order
+    terms = np.empty(n + len(X.indices))
+    terms[X.indptr[:-1] + np.arange(n)] = model.bias
+    terms[np.arange(len(X.indices)) + X.rows + 1] = model.weights[X.indices] * X.values
+    return sigmoid(np.bincount(np.repeat(np.arange(n), np.diff(X.indptr) + 1),
+                               weights=terms, minlength=n))
 
 
 def classify(p: float, threshold: float = 0.5) -> SentimentLabel:

@@ -158,6 +158,21 @@ def init_model(dims: RnnDims, seed: int) -> RnnModel:
     )
 
 
+def parameter_shapes(dims: RnnDims) -> dict:
+    """name -> shape of each parameter of `init_model(dims, ...)`, in
+    `named_parameters` order, without allocating any."""
+    h, e, a = dims.hidden, dims.embed_dim, dims.attn_dim
+    cell = {"W": (4 * h, e), "U": (4 * h, h), "b": (4 * h,)}
+    return {
+        "embedding": (dims.vocab_size + 1, e),
+        **{f"{side}.{name}": shape for side in ("fwd", "bwd") for name, shape in cell.items()},
+        "attn.W_a": (a, 2 * h),
+        "attn.v_a": (a,),
+        "out.w": (2 * h,),
+        "out.b": (),
+    }
+
+
 def embed(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     """Row lookup, (batch, max_len, embed_dim); pads hit the pinned zero row."""
     n_rows = model.embedding.data.shape[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ import numpy as np
 from .config import PipelineConfig, column_schema
 from .errors import SchemaError, ValidationError
 from .features import (
+    Csr,
     TfidfModel,
     Vocabulary,
     build_vocabulary,
@@ -44,8 +46,15 @@ from .ingest import (
     split,
 )
 from .linear import LinearModel
-from .neural import RnnDims, RnnModel, SequenceDataset, encode_tokens, init_model
-from .resample import SmoteConfig, class_weights, minority_gap, smote_sparse
+from .neural import (
+    RnnDims,
+    RnnModel,
+    SequenceDataset,
+    encode_tokens,
+    init_model,
+    parameter_shapes,
+)
+from .resample import class_weights
 from .textprep import LemmaRuleTable, StopwordList, preprocess
 
 BUNDLE_FILES = (
@@ -144,12 +153,20 @@ def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str
     })
 
 
-def _file_blocks(name: str, data: np.ndarray) -> list:
-    """The version-1 file entries of one parameter: a fused gate tensor is
-    stored as its i, f, o, g row blocks under `<name>_<gate>`."""
+def _file_blocks(name: str, shape: tuple) -> list:
+    """The version-1 file entries of one parameter, as (file name, shape):
+    a fused gate tensor is stored as its i, f, o, g row blocks under
+    `<name>_<gate>`."""
     if name.startswith(("fwd.", "bwd.")):
-        return [(f"{name}_{gate}", block) for gate, block in zip("ifog", np.split(data, 4))]
-    return [(name, data)]
+        return [(f"{name}_{gate}", (shape[0] // 4, *shape[1:])) for gate in "ifog"]
+    return [(name, shape)]
+
+
+def _file_entries(model: RnnModel):
+    for name, t in model.named_parameters():
+        blocks = _file_blocks(name, t.shape)
+        for (file_name, shape), flat in zip(blocks, t.data.reshape(len(blocks), -1)):
+            yield file_name, [list(shape), flat.tolist()]
 
 
 def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
@@ -157,11 +174,7 @@ def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> N
         "version": 1,
         "kind": "rnn",
         "dims": asdict(model.dims),
-        "tensors": {
-            file_name: [list(block.shape), block.ravel().tolist()]
-            for name, t in model.named_parameters()
-            for file_name, block in _file_blocks(name, t.data)
-        },
+        "tensors": dict(_file_entries(model)),
         "vocab_ref": vocab_ref,
     })
 
@@ -175,16 +188,22 @@ def _rnn_model(payload: dict, path) -> RnnModel:
                           f"{sorted(fields)}")
     if not isinstance(tensors, dict):
         raise SchemaError(f"{path}: tensors are not an object")
-    model = init_model(RnnDims(**dims), seed=0)
-    for name, tensor in model.named_parameters():
+    dims = RnnDims(**dims)
+    # every stored shape must match `dims` before a tensor is allocated
+    arrays = {}
+    for name, shape in parameter_shapes(dims).items():
         blocks = []
-        for file_name, block in _file_blocks(name, tensor.data):
+        for file_name, block_shape in _file_blocks(name, shape):
             entry = tensors.get(file_name)
             if not (isinstance(entry, list) and len(entry) == 2
-                    and entry[0] == list(block.shape)):
-                raise SchemaError(f"{path} lacks a {list(block.shape)} tensor {file_name!r}")
-            blocks.append(_array(entry[1], f"{path}: tensor {file_name!r}", (block.size,)))
-        tensor.data = np.concatenate(blocks).reshape(tensor.shape)
+                    and entry[0] == list(block_shape)):
+                raise SchemaError(f"{path} lacks a {list(block_shape)} tensor {file_name!r}")
+            blocks.append(_array(entry[1], f"{path}: tensor {file_name!r}",
+                                 (math.prod(block_shape),)))
+        arrays[name] = np.concatenate(blocks).reshape(shape)
+    model = init_model(dims, seed=0)
+    for name, tensor in model.named_parameters():
+        tensor.data = arrays[name]
     return model
 
 
@@ -344,25 +363,8 @@ def check_vocab_ref(model: Union[LinearModel, RnnModel], vocab_ref: str,
                           f"holds {len(tfidf.vocab)} terms")
 
 
-def tfidf_rows(bundle: Bundle, ids: Sequence[int]) -> list:
-    return [tfidf_transform(bundle.tfidf, bundle.examples[i].tokens) for i in ids]
-
-
-def balance_sparse(
-    X: list,
-    y: list,
-    dim: int,
-    cfg: SmoteConfig,
-) -> tuple[list, list]:
-    """balance_to_parity for sparse rows of width `dim`; the synthetic rows
-    are sparse too."""
-    minority_label, n_new = minority_gap(y)
-    if n_new == 0:
-        return list(X), list(y)
-    minority = [x for x, lab in zip(X, y) if lab == minority_label]
-    X_out = list(X) + smote_sparse(minority, n_new, cfg, dim)
-    y_out = list(y) + [minority_label] * n_new
-    return X_out, y_out
+def tfidf_rows(bundle: Bundle, ids: Sequence[int]) -> Csr:
+    return tfidf_transform(bundle.tfidf, [bundle.examples[i].tokens for i in ids])
 
 
 def sequence_data(

@@ -1,8 +1,9 @@
-"""Class balancing: SMOTE on feature rows, class weights for the RNN.
+"""Class balancing: SMOTE on sparse feature rows, class weights for the RNN.
 
 SMOTE interpolates synthetic minority points between a parent and one of its
-k nearest minority neighbors. The linear model trains on the balanced set;
-the sequence model cannot consume synthetic vectors, so it uses weighted
+k nearest minority neighbors; `balance_sparse` appends them to the `Csr`
+rows of the training set. The linear model trains on the balanced set; the
+sequence model cannot consume synthetic vectors, so it uses weighted
 cross-entropy with the weights computed here instead.
 """
 
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import SparseVector, pack_rows
+from .features import Csr
 from .ingest import SentimentLabel
 
 
@@ -32,14 +33,6 @@ class SmoteConfig:
             raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
 
-@dataclass
-class SyntheticSample:
-    vector: np.ndarray
-    parent_index: int
-    neighbor_index: int
-    lam: float
-
-
 def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For the CSR entries of `rows` in turn: the position in `rows` each
     entry belongs to, and the entry's position in the CSR arrays."""
@@ -50,8 +43,15 @@ def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return owner, at
 
 
+def _take(X: Csr, rows: np.ndarray) -> Csr:
+    """The rows `rows` of X, in that order."""
+    _, at = _gather(X.indptr, rows)
+    return Csr(np.concatenate(([0], np.cumsum(np.diff(X.indptr)[rows]))),
+               X.indices[at], X.values[at])
+
+
 def _neighbor_table(
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    csr: Csr,
     sq: np.ndarray,
     k: int,
     n_parents: int,
@@ -59,8 +59,8 @@ def _neighbor_table(
     max_pairs: int = 1 << 22,
 ) -> np.ndarray:
     """Indices of the k nearest Euclidean neighbors of rows 0..n_parents-1
-    among all rows of `csr` (CSR arrays, see `pack_rows`), excluding the row
-    itself; `sq` holds every row's squared norm.
+    among all rows of `csr`, excluding the row itself; `sq` holds every
+    row's squared norm.
 
     The squared distance is sq_i + sq_j - 2 g_ij, clamped at zero, where the
     Gram entry g_ij sums the products of the terms rows i and j share, in
@@ -68,9 +68,8 @@ def _neighbor_table(
     stable. Works in chunks of at most `chunk` rows and about `max_pairs`
     shared-term products to keep memory bounded.
     """
-    indptr, indices, values = csr
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    indptr, indices, values, rows = csr.indptr, csr.indices, csr.values, csr.rows
+    n = len(csr)
     # term -> the rows holding it, in row order (CSC)
     by_term = np.argsort(indices, kind="stable")
     term_rows, term_vals = rows[by_term], values[by_term]
@@ -112,13 +111,13 @@ def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
-def _dense_sq_norms(csr: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int) -> np.ndarray:
+def _dense_sq_norms(csr: Csr, dim: int) -> np.ndarray:
     """np.sum(row * row) over each row made dense: pairwise summation groups
     the terms by position, so summing only the non-zeros can change the last
     bit, and those bits decide distance ties. Dense and sparse rows must give
     the same neighbor table."""
-    indptr, indices, values = csr
-    n = len(indptr) - 1
+    indptr, indices, values = csr.indptr, csr.indices, csr.values
+    n = len(csr)
     sq = np.empty(n)
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(n, start + _CHUNK_ROWS)
@@ -131,7 +130,7 @@ def _dense_sq_norms(csr: tuple[np.ndarray, np.ndarray, np.ndarray], dim: int) ->
 
 
 def _draws(
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    csr: Csr,
     sq: np.ndarray,
     n_new: int,
     cfg: SmoteConfig,
@@ -158,41 +157,17 @@ def _draws(
     return parents, picks, lams
 
 
-def smote(
-    minority: Sequence[np.ndarray],
-    n_new: int,
-    cfg: SmoteConfig,
-) -> list[SyntheticSample]:
-    """Generate n_new synthetic minority samples from dense rows,
+def smote_sparse(minority: Csr, n_new: int, cfg: SmoteConfig, dim: int) -> Csr:
+    """n_new synthetic rows of width `dim` from the minority rows,
     deterministically; see `_draws` for how parents, neighbors and
-    interpolation factors are chosen."""
-    X = np.asarray(minority, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError("SMOTE requires >= 2 minority samples")
-    rows, cols = np.nonzero(X)
-    csr = (np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=X.shape[0])))),
-           cols, X[rows, cols])
-    parents, picks, lams = _draws(csr, np.sum(X * X, axis=1), n_new, cfg)
-    return [SyntheticSample(vector=X[p] + lam * (X[q] - X[p]), parent_index=int(p),
-                            neighbor_index=int(q), lam=float(lam))
-            for p, q, lam in zip(parents, picks, lams)]
-
-
-def smote_sparse(
-    minority: Sequence[SparseVector],
-    n_new: int,
-    cfg: SmoteConfig,
-    dim: int,
-) -> list[SparseVector]:
-    """`smote` on sparse rows of width `dim`, returning only the vectors.
+    interpolation factors are chosen.
 
     Each synthetic row covers the union of its parent's and neighbor's
     indices, with p + lam * (q - p) per entry (0.0 for an absent one) and
     exact zeros dropped: the same floats as the dense computation.
     """
-    csr = pack_rows(minority)
-    parents, picks, lams = _draws(csr, _dense_sq_norms(csr, dim), n_new, cfg)
-    indptr, indices, values = csr
+    parents, picks, lams = _draws(minority, _dense_sq_norms(minority, dim), n_new, cfg)
+    indptr, indices, values = minority.indptr, minority.indices, minority.values
     p_sample, p_at = _gather(indptr, parents)
     q_sample, q_at = _gather(indptr, picks)
     keys, slot = np.unique(np.concatenate((p_sample * dim + indices[p_at],
@@ -205,10 +180,8 @@ def smote_sparse(
     sample, term = np.divmod(keys, dim)
     vals = p + lams[sample] * (q - p)
     keep = vals != 0.0
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(sample[keep], minlength=n_new))))
-    terms, vals = term[keep].tolist(), vals[keep].tolist()
-    return [SparseVector(pairs=list(zip(terms[a:b], vals[a:b])))
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    return Csr(np.concatenate(([0], np.cumsum(np.bincount(sample[keep], minlength=n_new)))),
+               term[keep], vals[keep])
 
 
 def minority_gap(y: Sequence[SentimentLabel]) -> tuple[SentimentLabel, int]:
@@ -222,28 +195,28 @@ def minority_gap(y: Sequence[SentimentLabel]) -> tuple[SentimentLabel, int]:
     return minority_label, abs(n_pos - n_neg)
 
 
-def balance_to_parity(
-    X: Sequence[np.ndarray],
+def balance_sparse(
+    X: Csr,
     y: Sequence[SentimentLabel],
+    dim: int,
     cfg: SmoteConfig,
-) -> tuple[list[np.ndarray], list[SentimentLabel]]:
-    """Oversample the minority class until both class counts are equal.
+) -> tuple[Csr, list]:
+    """Oversample the minority class of rows of width `dim` until both class
+    counts are equal.
 
     Originals are preserved verbatim and come first, in their input order;
-    synthetic minority samples are appended. Inputs already balanced pass
+    synthetic minority rows are appended. Inputs already balanced pass
     through unchanged.
     """
-    X = list(X)
-    y = list(y)
     minority_label, n_new = minority_gap(y)
     if n_new == 0:
-        return X, y
-    minority = [np.asarray(v, dtype=np.float64) for v, lab in zip(X, y)
-                if lab == minority_label]
-    synth = smote(minority, n_new, cfg)
-    X_out = [np.asarray(v, dtype=np.float64) for v in X] + [s.vector for s in synth]
-    y_out = y + [minority_label] * n_new
-    return X_out, y_out
+        return X, list(y)
+    minority = _take(X, np.flatnonzero([lab == minority_label for lab in y]))
+    synth = smote_sparse(minority, n_new, cfg, dim)
+    X_out = Csr(np.concatenate((X.indptr, X.indptr[-1] + synth.indptr[1:])),
+                np.concatenate((X.indices, synth.indices)),
+                np.concatenate((X.values, synth.values)))
+    return X_out, list(y) + [minority_label] * n_new
 
 
 def class_weights(y: Sequence[SentimentLabel]) -> tuple[float, float]:

@@ -10,7 +10,7 @@ exception table, because negation placement carries sentiment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -72,6 +72,8 @@ class LemmaRuleTable:
 
     suffix_rules: list
     exceptions: dict
+    #: token -> lemma, filled as `lemmatize` meets each distinct token
+    lemmas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for suffix, replacement, min_stem in self.suffix_rules:
@@ -155,8 +157,15 @@ def _apply_rules(token: str, rules: LemmaRuleTable) -> str:
 
 
 def lemmatize(seq: TokenSequence, rules: LemmaRuleTable) -> TokenSequence:
-    """Map each token to its lemma; output length always equals input length."""
-    return [_apply_rules(t, rules) for t in seq]
+    """Map each token to its lemma; output length always equals input length.
+
+    The rules are a pure function of the token, so each distinct token goes
+    through them once per table.
+    """
+    lemmas = rules.lemmas
+    for token in set(seq).difference(lemmas):
+        lemmas[token] = _apply_rules(token, rules)
+    return [lemmas[t] for t in seq]
 
 
 def preprocess(

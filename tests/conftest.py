@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edusent.features import Csr
+from edusent.resample import SmoteConfig
 from edusent.textprep import LemmaRuleTable, StopwordList
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -59,6 +61,55 @@ def auc_pair_counting(scores, labels) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def csr_rows(dense) -> Csr:
+    """The non-zeros of a dense matrix as Csr rows."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(dense)))))
+    return Csr(indptr, cols, dense[rows, cols])
+
+
+def dense_rows(X: Csr, dim: int) -> np.ndarray:
+    out = np.zeros((len(X), dim))
+    out[X.rows, X.indices] = X.values
+    return out
+
+
+def reference_neighbor_table(minority: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
+    """Dense reference: a BLAS Gram product and a full per-row lexsort on
+    (distance, row index)."""
+    n = minority.shape[0]
+    sq = np.sum(minority * minority, axis=1)
+    table = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, chunk):
+        rows = minority[start:start + chunk]
+        d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * (rows @ minority.T)
+        np.maximum(d2, 0.0, out=d2)
+        for i in range(d2.shape[0]):
+            d2[i, start + i] = np.inf
+        tie = np.broadcast_to(np.arange(n), d2.shape)
+        order = np.lexsort((tie, d2), axis=1)
+        table[start:start + chunk] = order[:, :k]
+    return table
+
+
+def reference_smote(X: np.ndarray, n_new: int, cfg: SmoteConfig) -> list:
+    """Dense SMOTE: (parent, neighbor, lam, vector) per sample from the
+    reference table and the interleaved per-sample draws: rng.integers, then
+    rng.uniform."""
+    n = X.shape[0]
+    k = min(cfg.k_neighbors, n - 1)
+    neighbors = reference_neighbor_table(X, k)
+    rng = np.random.default_rng(cfg.seed)
+    out = []
+    for j in range(n_new):
+        parent = j % n
+        neighbor = int(neighbors[parent, rng.integers(0, k)])
+        lam = float(rng.uniform(0.0, 1.0))
+        out.append((parent, neighbor, lam, X[parent] + lam * (X[neighbor] - X[parent])))
+    return out
 
 
 def make_labels(values):

@@ -17,13 +17,15 @@ import pytest
 from conftest import (
     auc_pair_counting,
     chi2_bruteforce,
+    csr_rows,
+    dense_rows,
     make_labels,
     negation_pair_corpus,
+    reference_smote,
     toy_template_corpus,
 )
 from edusent.evalmetrics import ConfusionMatrix, classification_metrics, roc_auc
 from edusent.features import (
-    SparseVector,
     build_vocabulary,
     chi2_from_counts,
     fit_tfidf,
@@ -54,7 +56,7 @@ from edusent.neural import (
     train_rnn,
     weighted_bce,
 )
-from edusent.resample import SmoteConfig, balance_to_parity
+from edusent.resample import SmoteConfig, balance_sparse
 from edusent.textprep import LemmaRuleTable, StopwordList, lemmatize, preprocess, remove_stopwords
 
 # Reference values being reproduced: confusion counts for both models,
@@ -113,10 +115,11 @@ def test_criterion_2_gradient_correctness():
     with criterion(2, "analytic gradients match central finite differences", 30.0):
         # logistic regression, tolerance 1e-6
         rng = np.random.default_rng(0)
-        X = []
-        for _ in range(12):
+        X = np.zeros((12, 5))
+        for row in X:
             idx = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
-            X.append(SparseVector(pairs=[(int(i), float(rng.normal())) for i in idx]))
+            row[idx] = [rng.normal() for _ in idx]
+        X = csr_rows(X)
         y = make_labels([1, 0] * 6)
         w = rng.normal(size=5) * 0.5
         b = 0.2
@@ -193,12 +196,11 @@ def test_criterion_4_sequence_vs_bag_separation():
         # bag-of-words baseline: identical bags force <= 0.5 on the pairs
         vocab = build_vocabulary(train_tokens)
         tfidf = fit_tfidf(vocab)
-        X_train = [tfidf_transform(tfidf, doc) for doc in train_tokens]
+        X_train = tfidf_transform(tfidf, train_tokens)
         y_train = make_labels(train_labels)
         lr = train_lr(X_train, y_train, LinearTrainConfig(epochs=150),
                       dim=len(vocab)).model
-        lr_preds = [classify(predict_proba(lr, tfidf_transform(tfidf, doc)))
-                    for doc in test_tokens]
+        lr_preds = [classify(p) for p in predict_proba(lr, tfidf_transform(tfidf, test_tokens))]
         lr_acc = float(np.mean([int(p) == t for p, t in zip(lr_preds, test_labels)]))
         assert lr_acc <= 0.55, f"LR accuracy {lr_acc} on ambiguous pairs"
 
@@ -238,7 +240,8 @@ def test_criterion_5_oracle_equivalences():
 
         vocab = build_vocabulary([["a", "b"], ["b"]])
         tfidf = fit_tfidf(vocab)
-        vec = dict(tfidf_transform(tfidf, ["a", "b"]).pairs)
+        X = tfidf_transform(tfidf, [["a", "b"]])
+        vec = dict(zip(X.indices.tolist(), X.values.tolist()))
         ia, ib = vocab.term_to_index["a"], vocab.term_to_index["b"]
         assert vec[ia] == pytest.approx(0.8148024746671689, abs=1e-12)
         assert vec[ib] == pytest.approx(0.5797386715376657, abs=1e-12)
@@ -247,31 +250,29 @@ def test_criterion_5_oracle_equivalences():
 def test_criterion_6_smote_properties():
     with criterion(6, "SMOTE parity, segment membership, determinism", 5.0):
         rng = np.random.default_rng(21)
-        X = [rng.normal(size=8) for _ in range(40)]
+        X = rng.normal(size=(40, 8))
         y = make_labels([1] * 29 + [0] * 11)
         cfg = SmoteConfig(k_neighbors=5, seed=13)
-        Xb, yb = balance_to_parity(X, y, cfg)
+        Xb, yb = balance_sparse(csr_rows(X), y, 8, cfg)
         pos = sum(1 for lab in yb if int(lab) == 1)
         assert pos == len(yb) - pos == 29
 
-        # balance_to_parity appends exactly the samples smote() generates
-        # under the same seed, so the per-sample metadata proves every
-        # appended point sits on its parent-neighbor segment
-        from edusent.resample import smote
-
-        minority = np.stack([v for v, lab in zip(X, y) if int(lab) == 0])
+        # the appended rows are exactly the dense reference SMOTE's samples
+        # under the same seed, so the reference's (parent, neighbor, lam)
+        # proves every appended point sits on its parent-neighbor segment
+        minority = X[[int(lab) == 0 for lab in y]]
         eps = 1e-12
-        samples = smote(minority, len(Xb) - len(X), cfg)
-        for s, vec in zip(samples, Xb[len(X):]):
-            np.testing.assert_array_equal(s.vector, vec)
-            p, q = minority[s.parent_index], minority[s.neighbor_index]
-            assert np.all(s.vector >= np.minimum(p, q) - eps)
-            assert np.all(s.vector <= np.maximum(p, q) + eps)
-        again = smote(minority, len(samples), cfg)
-        for s, t in zip(samples, again):
-            np.testing.assert_array_equal(s.vector, t.vector)
-            assert (s.parent_index, s.neighbor_index, s.lam) == (
-                t.parent_index, t.neighbor_index, t.lam)
+        appended = dense_rows(Xb, 8)[len(X):]
+        samples = reference_smote(minority, len(appended), cfg)
+        assert len(samples) == 18
+        for (parent, neighbor, lam, _), vec in zip(samples, appended):
+            p, q = minority[parent], minority[neighbor]
+            np.testing.assert_array_equal(vec, p + lam * (q - p))
+            assert np.all(vec >= np.minimum(p, q) - eps)
+            assert np.all(vec <= np.maximum(p, q) + eps)
+        again, y_again = balance_sparse(csr_rows(X), y, 8, cfg)
+        assert y_again == yb
+        np.testing.assert_array_equal(dense_rows(again, 8), dense_rows(Xb, 8))
 
 
 def test_criterion_7_invariant_suites():
@@ -289,7 +290,7 @@ def test_criterion_7_invariant_suites():
         # untrained models emit exactly 0.5
         np.testing.assert_array_equal(forward(model, batch).probs, 0.5)
         zero_lr = LinearModel(weights=np.zeros(4), bias=0.0)
-        assert predict_proba(zero_lr, SparseVector(pairs=[(1, 0.7)])) == 0.5
+        assert predict_proba(zero_lr, csr_rows([[0.0, 0.7, 0.0, 0.0]])).tolist() == [0.5]
 
         # split determinism and partition identity
         examples = [LabeledExample(tokens=[], raw_comment=f"c{i}",

@@ -273,6 +273,11 @@ def _nan_weight(payload):
     payload["tensors"]["out.w"][1][0] = float("nan")
 
 
+def _huge_vocab(payload):
+    # dims that no allocation could hold must be caught by the shape check
+    payload["dims"]["vocab_size"] = 2**62
+
+
 class TestMalformedRnnModel:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("corrupt", [
@@ -280,7 +285,9 @@ class TestMalformedRnnModel:
         _drop_last_value,
         lambda p: p["dims"].pop("hidden"),
         _nan_weight,
-    ], ids=["missing-tensors", "wrong-element-count", "missing-hidden", "nan-weight"])
+        _huge_vocab,
+    ], ids=["missing-tensors", "wrong-element-count", "missing-hidden", "nan-weight",
+            "huge-vocab"])
     def test_exit_2_without_traceback(self, bundle_dir, capsys, command, corrupt):
         path = _untrained_rnn_file(bundle_dir)
         payload = json.loads(path.read_text())

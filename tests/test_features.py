@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,10 @@ from hypothesis import given, strategies as st
 from conftest import chi2_bruteforce, make_labels
 from edusent.errors import ValidationError
 from edusent.features import (
-    SparseVector,
     build_vocabulary,
     chi2_from_counts,
     chi2_scores,
     fit_tfidf,
-    pack_rows,
     presence_sets,
     select_top_k,
     tfidf_transform,
@@ -47,13 +46,28 @@ class TestVocabulary:
         assert int(v.doc_freq[v.term_to_index["a"]]) == 2
 
 
+def tfidf_reference(model, doc) -> list:
+    """One document's (index, weight) pairs, the per-row Python way: counts
+    x idf in index order, divided by the square root of a left-to-right sum
+    of squares."""
+    t2i = model.vocab.term_to_index
+    counts = Counter(t for t in doc if t in t2i)
+    pairs = sorted((t2i[t], c * model.idf[t2i[t]]) for t, c in counts.items())
+    norm = np.sqrt(sum(w * w for _, w in pairs))
+    return [(i, w / norm) for i, w in pairs]
+
+
+def row(X, i: int) -> dict:
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return dict(zip(X.indices[lo:hi].tolist(), X.values[lo:hi].tolist()))
+
+
 class TestTfidf:
     def test_everywhere_term_has_idf_one(self):
         v = build_vocabulary([["a"], ["a"], ["a"]])
         model = fit_tfidf(v)
         assert model.idf[0] == pytest.approx(1.0, abs=0)
-        vec = tfidf_transform(model, ["a"])
-        assert vec.pairs == [(0, 1.0)]
+        assert row(tfidf_transform(model, [["a"]]), 0) == {0: 1.0}
 
     def test_two_document_hand_example(self):
         # corpus [[a, b], [b]]: idf(a) = ln(3/2) + 1, idf(b) = ln(3/3) + 1 = 1
@@ -62,14 +76,15 @@ class TestTfidf:
         ia, ib = v.term_to_index["a"], v.term_to_index["b"]
         assert model.idf[ia] == pytest.approx(1.4054651081081644, abs=1e-12)
         assert model.idf[ib] == pytest.approx(1.0, abs=0)
-        vec = dict(tfidf_transform(model, ["a", "b"]).pairs)
+        vec = row(tfidf_transform(model, [["a", "b"]]), 0)
         assert vec[ia] == pytest.approx(0.8148024746671689, abs=1e-12)
         assert vec[ib] == pytest.approx(0.5797386715376657, abs=1e-12)
 
     def test_oov_only_doc_is_zero_vector(self):
         v = build_vocabulary([["a", "b"], ["b"]])
         model = fit_tfidf(v)
-        assert tfidf_transform(model, ["zzz", "qqq"]).pairs == []
+        X = tfidf_transform(model, [["zzz", "qqq"]])
+        assert X.indptr.tolist() == [0, 0] and X.indices.size == 0
 
     def test_unit_norm_or_zero(self):
         rng = np.random.default_rng(0)
@@ -77,18 +92,44 @@ class TestTfidf:
                   for _ in range(40)]
         v = build_vocabulary(corpus)
         model = fit_tfidf(v)
-        for doc in corpus:
-            norm = tfidf_transform(model, doc).l2_norm()
+        X = tfidf_transform(model, corpus + [[]])
+        for i in range(len(corpus)):
+            norm = np.linalg.norm(list(row(X, i).values()))
             assert norm == pytest.approx(1.0, abs=1e-12)
-        assert tfidf_transform(model, []).l2_norm() == 0.0
+        assert row(X, len(corpus)) == {}
 
     def test_counts_scale_weights(self):
         v = build_vocabulary([["a", "b"], ["b"]])
         model = fit_tfidf(v)
-        single = dict(tfidf_transform(model, ["a", "b"]).pairs)
-        doubled = dict(tfidf_transform(model, ["a", "a", "b", "b"]).pairs)
+        X = tfidf_transform(model, [["a", "b"], ["a", "a", "b", "b"]])
+        single, doubled = row(X, 0), row(X, 1)
         for idx in single:
             assert doubled[idx] == pytest.approx(single[idx], abs=1e-12)
+
+    def test_batch_matches_per_row_reference(self):
+        rng = np.random.default_rng(3)
+        corpus = [[f"w{j}" for j in rng.integers(0, 40, size=rng.integers(1, 25))]
+                  for _ in range(60)]
+        vocab = build_vocabulary(corpus)
+        scores = chi2_scores(presence_sets(corpus, vocab),
+                             make_labels([i % 2 for i in range(60)]), len(vocab))
+        model = fit_tfidf(select_top_k(scores, vocab, 25))  # some corpus terms are OOV
+        docs = corpus + [[], ["oov", "zzz"], ["oov"] + corpus[0]]
+        docs = [docs[i] for i in rng.permutation(len(docs))]
+        X = tfidf_transform(model, docs)
+        want_ptr, want_idx, want_val = [0], [], []
+        for doc in docs:
+            for i, w in tfidf_reference(model, doc):
+                want_idx.append(i)
+                want_val.append(w)
+            want_ptr.append(len(want_idx))
+        assert X.indptr.tolist() == want_ptr
+        assert X.indices.dtype == np.int64 and X.indices.tolist() == want_idx
+        assert X.values.tolist() == want_val  # bit for bit
+
+    def test_no_documents(self):
+        X = tfidf_transform(fit_tfidf(build_vocabulary([["a"]])), [])
+        assert X.indptr.tolist() == [0] and X.indices.size == 0 and X.values.size == 0
 
     def test_round_trip(self, tmp_path):
         v = build_vocabulary([["a", "b"], ["b", "c"], ["c"]])
@@ -101,29 +142,6 @@ class TestTfidf:
         np.testing.assert_array_equal(loaded.idf, model.idf)
         payload = json.loads(path.read_text())
         assert payload["version"] == 1 and payload["n_docs"] == 3
-
-
-class TestPackRows:
-    def test_matches_loop(self):
-        rng = np.random.default_rng(3)
-        X = []
-        for _ in range(9):
-            idx = sorted(rng.choice(12, size=rng.integers(0, 5), replace=False).tolist())
-            X.append(SparseVector(pairs=[(i, float(rng.normal())) for i in idx]))
-        indptr, indices, values = pack_rows(X)
-        want_ptr, want_idx, want_val = [0], [], []
-        for x in X:
-            for i, w in x.pairs:
-                want_idx.append(i)
-                want_val.append(w)
-            want_ptr.append(len(want_idx))
-        assert indptr.tolist() == want_ptr
-        assert indices.dtype == np.int64 and indices.tolist() == want_idx
-        assert values.tolist() == want_val
-
-    def test_no_rows(self):
-        indptr, indices, values = pack_rows([])
-        assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0
 
 
 class TestChi2:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_labels
+from conftest import csr_rows, make_labels
 from edusent.errors import ValidationError
-from edusent.features import SparseVector
+from edusent.features import Csr
 from edusent.ingest import SentimentLabel
 from edusent.linear import (
     LinearModel,
@@ -38,13 +38,20 @@ class TestSigmoid:
         assert out[1] == pytest.approx(0.7310585786300049, abs=1e-15)
 
 
+def one_row(*pairs) -> Csr:
+    """A single sparse row from (index, value) pairs, zeros included."""
+    return Csr(np.array([0, len(pairs)]), np.array([i for i, _ in pairs], dtype=np.int64),
+               np.array([v for _, v in pairs], dtype=np.float64))
+
+
 def _random_batch(seed=0, n=12, dim=5):
     rng = np.random.default_rng(seed)
-    X = []
-    for _ in range(n):
+    X = np.zeros((n, dim))
+    for row in X:
         nnz = rng.integers(1, dim + 1)
         idx = sorted(rng.choice(dim, size=nnz, replace=False).tolist())
-        X.append(SparseVector(pairs=[(int(i), float(rng.normal())) for i in idx]))
+        row[idx] = rng.normal(size=nnz)
+    X = csr_rows(X)
     y = make_labels(rng.integers(0, 2, size=n).tolist())
     if len({int(lab) for lab in y}) == 1:  # force both classes
         y[0] = SentimentLabel.POSITIVE if int(y[0]) == 0 else SentimentLabel.NEGATIVE
@@ -54,14 +61,13 @@ def _random_batch(seed=0, n=12, dim=5):
 class TestTraining:
     def test_zero_init_predicts_half(self):
         model = LinearModel(weights=np.zeros(4), bias=0.0)
-        x = SparseVector(pairs=[(0, 0.3), (2, -1.0)])
-        assert predict_proba(model, x) == 0.5
+        assert predict_proba(model, one_row((0, 0.3), (2, -1.0))).tolist() == [0.5]
 
     def test_separable_one_dimensional(self):
-        X = [SparseVector(pairs=[(0, -1.0)]), SparseVector(pairs=[(0, 1.0)])] * 8
+        X = csr_rows([[-1.0], [1.0]] * 8)
         y = make_labels([0, 1] * 8)
         result = train_lr(X, y, LinearTrainConfig(epochs=200), dim=1)
-        preds = [classify(predict_proba(result.model, x)) for x in X]
+        preds = [classify(p) for p in predict_proba(result.model, X)]
         assert preds == y
 
     def test_gradient_matches_finite_differences(self):
@@ -121,14 +127,14 @@ class TestTraining:
             X, y, result.model.weights, result.model.bias, cfg.l2)
 
     def test_index_beyond_dimension_rejected(self):
-        X = [SparseVector(pairs=[(0, 1.0)]), SparseVector(pairs=[(1, 0.5), (4, 1.0)])]
+        X = csr_rows([[1.0, 0, 0, 0, 0], [0, 0.5, 0, 0, 1.0]])
         with pytest.raises(ValidationError, match="feature index 4 exceeds model dimension 3"):
             train_lr(X, make_labels([0, 1]), LinearTrainConfig(), dim=3)
         with pytest.raises(ValidationError, match="exceeds model dimension"):
             lr_objective(X, make_labels([0, 1]), np.zeros(2), 0.0, 0.0)
 
     def test_single_class_error(self):
-        X = [SparseVector(pairs=[(0, 1.0)])] * 3
+        X = csr_rows([[1.0]] * 3)
         with pytest.raises(ValidationError):
             train_lr(X, make_labels([1, 1, 1]), LinearTrainConfig(), dim=1)
 
@@ -143,23 +149,22 @@ class TestTraining:
 class TestPredict:
     def test_scalar_example(self):
         model = LinearModel(weights=np.array([1.0]), bias=0.0)
-        p = predict_proba(model, SparseVector(pairs=[(0, 1.0)]))
-        assert p == pytest.approx(0.7310585786300049, abs=1e-12)
+        p = predict_proba(model, one_row((0, 1.0)))
+        assert p[0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
     def test_empty_vector_gives_bias(self):
         model = LinearModel(weights=np.array([2.0, 3.0]), bias=-1.0)
-        assert predict_proba(model, SparseVector(pairs=[])) == pytest.approx(
-            float(sigmoid(-1.0)))
+        assert predict_proba(model, one_row())[0] == pytest.approx(float(sigmoid(-1.0)))
 
     def test_dimension_error(self):
         model = LinearModel(weights=np.array([1.0]), bias=0.0)
         with pytest.raises(ValidationError):
-            predict_proba(model, SparseVector(pairs=[(3, 1.0)]))
+            predict_proba(model, one_row((3, 1.0)))
 
     def test_zero_weight_features_do_not_change_prediction(self):
         model = LinearModel(weights=np.array([1.0, -2.0, 0.5]), bias=0.1)
-        x = SparseVector(pairs=[(0, 0.4)])
-        x_padded = SparseVector(pairs=[(0, 0.4), (1, 0.0), (2, 0.0)])
+        x = one_row((0, 0.4))
+        x_padded = one_row((0, 0.4), (1, 0.0), (2, 0.0))
         assert predict_proba(model, x) == predict_proba(model, x_padded)
 
     def test_positive_scaling_never_flips_label(self):
@@ -167,10 +172,22 @@ class TestPredict:
         for _ in range(50):
             model = LinearModel(weights=rng.normal(size=4), bias=float(rng.normal()))
             scaled = LinearModel(weights=3.7 * model.weights, bias=3.7 * model.bias)
-            x = SparseVector(pairs=[(int(i), float(rng.normal()))
-                                    for i in sorted(rng.choice(4, 2, replace=False))])
-            assert classify(predict_proba(model, x)) == classify(
-                predict_proba(scaled, x))
+            x = one_row(*[(int(i), float(rng.normal()))
+                          for i in sorted(rng.choice(4, 2, replace=False))])
+            assert classify(predict_proba(model, x)[0]) == classify(
+                predict_proba(scaled, x)[0])
+
+    def test_batch_equals_one_row_at_a_time(self):
+        rng = np.random.default_rng(10)
+        dense = rng.normal(size=(30, 6))
+        dense[rng.random(dense.shape) < 0.5] = 0.0
+        X = csr_rows(dense)
+        model = LinearModel(weights=rng.normal(size=6), bias=float(rng.normal()))
+        for i, p in enumerate(predict_proba(model, X)):
+            z = model.bias  # the bias first, then the row's products in column order
+            for j in np.flatnonzero(dense[i]):
+                z += model.weights[j] * dense[i, j]
+            assert p == sigmoid(z)
 
 
 class TestClassify:

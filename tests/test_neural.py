@@ -17,6 +17,7 @@ from edusent.neural import (
     forward,
     init_model,
     lstm_step,
+    parameter_shapes,
     predict_sequences,
 )
 from edusent.neural.model import LstmCellParams, Tensor
@@ -258,6 +259,13 @@ class TestFusedLayout:
         assert shapes["fwd.W"] == (4 * h, e)
         assert shapes["bwd.U"] == (4 * h, h)
         assert shapes["fwd.b"] == (4 * h,)
+
+    @pytest.mark.parametrize("dims", [DIMS, RnnDims(vocab_size=2, embed_dim=5, hidden=1,
+                                                     attn_dim=7, max_len=3)])
+    def test_parameter_shapes_are_init_model_shapes(self, dims):
+        model = init_model(dims, seed=0)
+        assert list(parameter_shapes(dims).items()) == [
+            (name, t.shape) for name, t in model.named_parameters()]
 
     def test_forget_gate_rows_start_at_one(self):
         h = DIMS.hidden
