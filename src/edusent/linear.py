@@ -47,16 +47,19 @@ class LinearTrainResult:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise on arrays."""
+    """Logistic function, elementwise on arrays; a 0-d input gives a float.
+
+    The stable forms 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) for
+    z < 0 share the denominator 1 + e, with e = exp(-|z|), and differ only
+    in the numerator, 1 or e. Picking the numerator elementwise gives each
+    form's exact bits in one pass, with no masked gather and no exp of a
+    positive argument, so nothing overflows.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    e = np.exp(-np.abs(z))
+    out = np.maximum(e, z >= 0)  # 1 where z >= 0 (e <= 1 there), else e
+    out /= 1.0 + e
+    return float(out) if out.ndim == 0 else out
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

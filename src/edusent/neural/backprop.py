@@ -100,14 +100,15 @@ def backward(
 
     # attention: context = sum_t alpha_t H_t with alpha = softmax(v . tanh(W H))
     alphas, u, H = cache.alphas, cache.u, cache.H
-    dalpha = np.einsum("bh,blh->bl", dcontext, H)
+    dalpha = (H @ dcontext[:, :, None])[:, :, 0]
     dH = alphas[:, :, None] * dcontext[:, None, :]
     de = alphas * (dalpha - np.sum(alphas * dalpha, axis=1, keepdims=True))
-    grads["attn.v_a"] += np.einsum("bl,bla->a", de, u)
+    A = u.shape[2]
+    grads["attn.v_a"] += de.reshape(-1) @ u.reshape(-1, A)
     du = de[:, :, None] * model.attention.v_a.data[None, None, :]
     dpre = du * (1.0 - u ** 2)
-    grads["attn.W_a"] += np.einsum("bla,blh->ah", dpre, H)
-    dH += np.einsum("bla,ah->blh", dpre, model.attention.W_a.data)
+    grads["attn.W_a"] += dpre.reshape(-1, A).T @ H.reshape(-1, H.shape[2])
+    dH += dpre @ model.attention.W_a.data
 
     # split the concatenated states and run BPTT per direction
     h_dim = model.dims.hidden

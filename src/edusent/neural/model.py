@@ -1,7 +1,10 @@
 """Bidirectional LSTM with additive attention, built directly on numpy.
 
-Forward passes cache every intermediate needed by the hand-written
-backward pass in `backprop`. All math is float64 and deterministic.
+`forward` caches every intermediate the hand-written backward pass in
+`backprop` needs. Inference (`batch_probs`, and through it
+`predict_sequences`) runs the same steps without a cache: each direction
+keeps only its current (h, c) and the masked output rows attention reads.
+All math is float64 and deterministic.
 
 Architecture: trainable embedding (row 0 pinned to zeros for padding),
 one LSTM per direction, additive (tanh) attention over the concatenated
@@ -214,7 +217,6 @@ class DirectionCache:
     mask: np.ndarray  # (B, L)
     gates: np.ndarray  # (B, L, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
     c_tilde: np.ndarray  # candidate cell value before mask gating
-    h_tilde: np.ndarray  # o * tanh(c_tilde)
     h_state: np.ndarray  # carried hidden state after mask gating
     c_state: np.ndarray
 
@@ -233,45 +235,53 @@ class ForwardCache:
     probs: np.ndarray  # (B,)
 
 
-def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray) -> DirectionCache:
-    """Run one direction over already time-ordered inputs.
+def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray,
+                   out: np.ndarray, cache: bool = True) -> Optional[DirectionCache]:
+    """Run one direction over already time-ordered inputs, writing each
+    step's output row m * h_tilde into `out` (B, L, hidden), a view of H.
 
     Masked steps compute gates but pass the carried (h, c) state through
     unchanged and contribute zero rows to the output, so a padded tail never
-    alters real positions.
+    alters real positions. With `cache` off only the current (h, c) is kept
+    and None is returned.
     """
     B, L, E = x.shape
     h_dim = cell.U.data.shape[1]
-    # the input projection of every timestep in one GEMM; each step then
-    # overwrites its slice with the gate activations
+    # the input projection of every timestep in one GEMM; with a cache, each
+    # step then overwrites its slice with the gate activations
     gates_all = (x.reshape(B * L, E) @ cell.W.data.T).reshape(B, L, 4 * h_dim)
-    ct_all = np.empty((B, L, h_dim))
-    ht_all = np.empty((B, L, h_dim))
-    hs_all = np.empty((B, L, h_dim))
-    cs_all = np.empty((B, L, h_dim))
+    if cache:
+        ct_all, hs_all, cs_all = (np.empty((B, L, h_dim)) for _ in range(3))
     h = np.zeros((B, h_dim))
     c = np.zeros((B, h_dim))
     for s in range(L):
         m = mask[:, s : s + 1]
-        h_tilde, c_tilde, gates_all[:, s] = lstm_step(gates_all[:, s], h, c, cell)
+        h_tilde, c_tilde, gates = lstm_step(gates_all[:, s], h, c, cell)
         h = m * h_tilde + (1.0 - m) * h
         c = m * c_tilde + (1.0 - m) * c
-        ct_all[:, s], ht_all[:, s] = c_tilde, h_tilde
-        hs_all[:, s], cs_all[:, s] = h, c
+        out[:, s] = m * h_tilde
+        if cache:
+            gates_all[:, s] = gates
+            ct_all[:, s], hs_all[:, s], cs_all[:, s] = c_tilde, h, c
+    if not cache:
+        return None
     return DirectionCache(x=x, mask=mask, gates=gates_all, c_tilde=ct_all,
-                          h_tilde=ht_all, h_state=hs_all, c_state=cs_all)
+                          h_state=hs_all, c_state=cs_all)
 
 
-def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray):
+def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray, cache: bool = True):
     """Concatenated per-position hidden states, (B, L, 2 * hidden).
 
-    Returns (H, fwd_cache, bwd_cache); masked positions are zero rows.
+    Returns (H, fwd_cache, bwd_cache); masked positions are zero rows. With
+    `cache` off both caches are None.
     """
-    fwd = _run_direction(model.forward_cell, embedded, mask)
-    bwd = _run_direction(model.backward_cell, embedded[:, ::-1], mask[:, ::-1])
-    h_f = fwd.mask[:, :, None] * fwd.h_tilde
-    h_b = (bwd.mask[:, :, None] * bwd.h_tilde)[:, ::-1]
-    return np.concatenate([h_f, h_b], axis=2), fwd, bwd
+    B, L, _ = embedded.shape
+    h_dim = model.dims.hidden
+    H = np.empty((B, L, 2 * h_dim))
+    fwd = _run_direction(model.forward_cell, embedded, mask, H[:, :, :h_dim], cache)
+    bwd = _run_direction(model.backward_cell, embedded[:, ::-1], mask[:, ::-1],
+                         H[:, ::-1, h_dim:], cache)
+    return H, fwd, bwd
 
 
 def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
@@ -288,7 +298,7 @@ def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
     e_shift = e_masked - e_masked.max(axis=1, keepdims=True)
     exps = np.where(mask > 0, np.exp(e_shift), 0.0)
     alphas = exps / exps.sum(axis=1, keepdims=True)
-    context = np.einsum("bl,blh->bh", alphas, H)
+    context = (alphas[:, None, :] @ H)[:, 0]
     return context, alphas, u
 
 
@@ -303,26 +313,34 @@ def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
                         u=u, alphas=alphas, context=context, logits=logits, probs=probs)
 
 
+def batch_probs(model: RnnModel, batch: TokenBatch) -> np.ndarray:
+    """`forward(model, batch).probs`, bit for bit, without building a cache."""
+    H, _, _ = bilstm(model, embed(model, batch), batch.mask, cache=False)
+    context, _, _ = attention(model, H, batch.mask)
+    return sigmoid(context @ model.out_w.data + model.out_b.data)
+
+
 def predict_sequences(
     model: RnnModel,
     sequences: Sequence[Sequence[int]],
     chunk: int = 256,
 ) -> np.ndarray:
-    """Probabilities for raw id sequences, evaluated in fixed-size chunks.
+    """Probabilities for raw id sequences, in input order.
 
-    Empty sequences cannot enter a TokenBatch; they fall back to the
-    bias-only path sigma(out_b), i.e. the model's prior.
+    Rows are scored in chunks of up to `chunk` rows of similar clipped
+    length, so a chunk pads little. Empty sequences cannot enter a
+    TokenBatch; they fall back to the bias-only path sigma(out_b), i.e. the
+    model's prior.
     """
-    probs = np.empty(len(sequences))
-    nonempty = [(row, list(seq)) for row, seq in enumerate(sequences) if len(seq) > 0]
-    probs[:] = sigmoid(model.out_b.data)
-    for start in range(0, len(nonempty), chunk):
-        part = nonempty[start : start + chunk]
-        batch = build_batch([seq for _, seq in part],
-                            np.zeros(len(part)), model.dims.max_len)
-        out = forward(model, batch).probs
-        for (row, _), p in zip(part, out):
-            probs[row] = p
+    max_len = model.dims.max_len
+    lengths = np.array([min(len(seq), max_len) for seq in sequences], dtype=np.int64)
+    rows = np.flatnonzero(lengths)
+    rows = rows[np.argsort(lengths[rows], kind="stable")]
+    probs = np.full(len(sequences), sigmoid(model.out_b.data))
+    for start in range(0, len(rows), chunk):
+        part = rows[start : start + chunk]
+        batch = build_batch([sequences[r] for r in part], np.zeros(len(part)), max_len)
+        probs[part] = batch_probs(model, batch)
     return probs
 
 

@@ -138,7 +138,28 @@ def _ends_cvc(stem: str) -> bool:
             and c2 not in _VOWELS)
 
 
+#: most rewrites one token may take before the table is rejected
+_MAX_REWRITES = 32
+
+
 def _apply_rules(token: str, rules: LemmaRuleTable) -> str:
+    """Rewrite `token` until no exception or rule changes it, so a lemma is
+    its own lemma ("aaased" -> "aaas" -> "aaa"). A table whose rewrites
+    cycle settles on the cycle's smallest string; one that keeps rewriting
+    for _MAX_REWRITES steps is rejected."""
+    chain = [token]
+    for _ in range(_MAX_REWRITES):
+        nxt = _rewrite(chain[-1], rules)
+        if nxt == chain[-1]:
+            return nxt
+        if nxt in chain:
+            return min(chain[chain.index(nxt) :])
+        chain.append(nxt)
+    raise ValidationError(f"lemma rules keep rewriting {token!r}: {' -> '.join(chain[:4])} ...")
+
+
+def _rewrite(token: str, rules: LemmaRuleTable) -> str:
+    """One rewrite: the exception for `token`, else the first matching rule."""
     hit = rules.exceptions.get(token)
     if hit is not None:
         return hit

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,30 @@ class TestSigmoid:
         out = sigmoid(np.array([0.0, 1.0]))
         assert out[0] == 0.5
         assert out[1] == pytest.approx(0.7310585786300049, abs=1e-15)
+
+    def test_equals_two_branch_formula(self):
+        # the masked form: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below
+        z = np.concatenate([np.linspace(-745.0, 745.0, 200_001), [-0.0, -np.inf, np.inf]])
+        ref = np.empty_like(z)
+        pos = z >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        out = sigmoid(z)
+        rel = np.abs(out - ref) / np.where(ref > 0, ref, 1.0)
+        assert rel.max() <= 4.4e-16
+        np.testing.assert_array_equal(out, ref)
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-1e4, 1e4]))
+            assert sigmoid(-1e4) == 0.0 and sigmoid(1e4) == 1.0
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_zero_dim_input_gives_float(self):
+        assert type(sigmoid(np.array(0.25))) is float
+        assert type(sigmoid(np.float64(-3.0))) is float
 
 
 def one_row(*pairs) -> Csr:

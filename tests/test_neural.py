@@ -6,12 +6,16 @@ import pytest
 
 from edusent.errors import SchemaError, ValidationError
 from edusent.neural import (
+    NeuralTrainConfig,
     RnnDims,
+    SequenceDataset,
     TokenBatch,
     attention,
     backward,
+    batch_probs,
     bilstm,
     build_batch,
+    dataset_loss,
     embed,
     encode_tokens,
     forward,
@@ -20,6 +24,7 @@ from edusent.neural import (
     parameter_shapes,
     predict_sequences,
 )
+from edusent.neural import model as model_module
 from edusent.neural.model import LstmCellParams, Tensor
 from edusent.pipeline import load_model, save_rnn_model
 
@@ -227,6 +232,58 @@ class TestBatches:
         probs = predict_sequences(model, [[], [1, 2]])
         assert probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.8)), abs=1e-12)
         assert probs[1] != probs[0]
+
+
+def _scoring_model(seed=14):
+    """An untrained model with a nonzero head, so probabilities differ per row."""
+    model = init_model(DIMS, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.out_w.data[:] = rng.normal(size=2 * DIMS.hidden)
+    model.out_b.data[...] = -0.3
+    return model
+
+
+class TestInference:
+    SEQUENCES = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3], [], [7], [2, 7, 1, 8],
+                 [9, 9, 9, 9, 9, 9, 9, 9], [], [6, 2], [1, 2, 3, 4, 5, 6], [8, 8, 8]]
+
+    def test_batch_probs_bit_equal_to_forward(self):
+        model = _scoring_model()
+        batch = build_batch([s for s in self.SEQUENCES if s], np.zeros(7), DIMS.max_len)
+        assert batch.mask.sum() < batch.mask.size  # rows of mixed length
+        expected = forward(model, batch).probs
+        assert len(set(expected.tolist())) == len(expected)
+        assert np.array_equal(batch_probs(model, batch), expected)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    def test_predict_sequences_in_input_order(self, chunk):
+        assert len(self.SEQUENCES[0]) > DIMS.max_len  # clipped like the 6-token row
+        model = _scoring_model()
+        probs = predict_sequences(model, self.SEQUENCES, chunk=chunk)
+        prior = 1.0 / (1.0 + np.exp(0.3))
+        for row, seq in enumerate(self.SEQUENCES):
+            if not seq:
+                assert probs[row] == pytest.approx(prior, abs=1e-15)
+                continue
+            single = batch_probs(model, build_batch([seq], [0.0], DIMS.max_len))[0]
+            assert abs(probs[row] - single) <= 1e-15
+
+    def test_predict_sequences_without_rows(self):
+        assert predict_sequences(_scoring_model(), []).shape == (0,)
+
+    def test_inference_builds_no_direction_cache(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference built a DirectionCache")
+
+        model = _scoring_model()
+        monkeypatch.setattr(model_module, "DirectionCache", refuse)
+        seqs = [s for s in self.SEQUENCES if s]
+        probs = predict_sequences(model, seqs, chunk=4)
+        assert probs.shape == (len(seqs),)
+        ds = SequenceDataset(seqs, np.arange(len(seqs)) % 2)
+        assert np.isfinite(dataset_loss(model, ds, NeuralTrainConfig()))
+        with pytest.raises(AssertionError, match="DirectionCache"):
+            forward(model, build_batch(seqs, np.zeros(len(seqs)), DIMS.max_len))
 
 
 class TestPersistence:

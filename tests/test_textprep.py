@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from edusent.errors import ValidationError
 from edusent.textprep import (
@@ -107,9 +107,28 @@ class TestLemmatize:
         assert lemmatize(once, lemma_rules) == once
 
     @given(st.lists(st.from_regex(r"[a-z][a-z']{1,11}", fullmatch=True), max_size=30))
+    @example(["aaased"])
     def test_idempotent_property(self, lemma_rules, tokens):
         once = lemmatize(tokens, lemma_rules)
         assert lemmatize(once, lemma_rules) == once
+
+    def test_rules_reapplied_until_settled(self, lemma_rules):
+        # "ed" gives "aaas", then the "s" rule gives "aaa"
+        assert lemmatize(["aaased", "aaas", "aaa"], lemma_rules) == ["aaa"] * 3
+
+    def test_cycle_settles_on_smallest_member(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("ab\tcd\ncd\tab\nxy\tcd\n", encoding="utf-8")
+        rules = LemmaRuleTable.load(path)
+        once = lemmatize(["ab", "cd", "xy"], rules)
+        assert once == ["ab", "ab", "ab"]
+        assert lemmatize(once, rules) == once
+
+    def test_endless_rewriting_rejected(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("a\taa\t0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="keep rewriting"):
+            lemmatize(["ba"], LemmaRuleTable.load(path))
 
     def test_custom_rules_file(self, tmp_path):
         path = tmp_path / "rules.tsv"
