@@ -2,8 +2,11 @@
 
 Everything is differentiated by hand against the cached forward values:
 output head, attention softmax, both LSTM directions (backpropagation
-through time with mask-gated state carries), and the embedding lookup.
-The padding embedding row always receives an exactly-zero gradient.
+through time), and the embedding lookup. Like the forward pass, each BPTT
+step touches only the rows that had a token at that step, a prefix of the
+length-ordered batch; every other row carries its (dh, dc) through
+unchanged. Only real positions scatter into the embedding gradient, so
+the padding row always receives an exactly-zero gradient.
 """
 
 from __future__ import annotations
@@ -30,32 +33,29 @@ def _direction_backward(
     dH_dir: np.ndarray,
     grads: dict,
     prefix: str,
-) -> np.ndarray:
-    """BPTT for one direction; returns gradient w.r.t. its input sequence."""
-    B, L, E = cache.x.shape
-    h_dim = cache.c_tilde.shape[2]
-    dx = np.zeros((B, L, E))
+    dx: np.ndarray,
+) -> None:
+    """BPTT for one direction; adds the gradient w.r.t. its input sequence
+    into `dx` (B, L, E), a view in the direction's processing order."""
+    B, L, _ = cache.x.shape
+    h_dim = cache.c.shape[2]
     dh_carry = np.zeros((B, h_dim))
     dc_carry = np.zeros((B, h_dim))
     W, U = cell.W.data, cell.U.data
     dW, dU, db = grads[f"{prefix}.W"], grads[f"{prefix}.U"], grads[f"{prefix}.b"]
 
     for s in range(L - 1, -1, -1):
-        m = cache.mask[:, s : s + 1]
-        h_prev = cache.h_state[:, s - 1] if s > 0 else np.zeros((B, h_dim))
-        c_prev = cache.c_state[:, s - 1] if s > 0 else np.zeros((B, h_dim))
+        # only the first n rows had a token at step s; the others' carries
+        # pass through as they are
+        n = cache.steps[s + 1] - cache.steps[s]
+        h_prev = cache.h[:n, s - 1] if s > 0 else np.zeros((n, h_dim))
+        c_prev = cache.c[:n, s - 1] if s > 0 else np.zeros((n, h_dim))
 
-        # the stored output row is m * h_tilde; the carried state is
-        # m * h_tilde + (1 - m) * h_prev (same for c)
-        dh_tilde = m * (dH_dir[:, s] + dh_carry)
-        dc_tilde = m * dc_carry
-        dh_pass = (1.0 - m) * dh_carry
-        dc_pass = (1.0 - m) * dc_carry
-
-        gates = cache.gates[:, s]
+        dh_tilde = dH_dir[:n, s] + dh_carry[:n]
+        gates = cache.gates[cache.steps[s] : cache.steps[s + 1]]
         i, f, o, g = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        tanh_c = np.tanh(cache.c_tilde[:, s])
-        dc_tilde = dc_tilde + dh_tilde * o * (1.0 - tanh_c ** 2)
+        tanh_c = np.tanh(cache.c[:n, s])
+        dc_tilde = dc_carry[:n] + dh_tilde * o * (1.0 - tanh_c ** 2)
 
         # gradients of the gate pre-activations: through sigma for i, f, o
         # and through tanh for g
@@ -64,13 +64,12 @@ def _direction_backward(
                              dh_tilde * tanh_c * o * (1.0 - o),
                              dc_tilde * i * (1.0 - g ** 2)], axis=1)
 
-        dW += da.T @ cache.x[:, s]
+        dW += da.T @ cache.x[:n, s]
         dU += da.T @ h_prev
         db += da.sum(axis=0)
-        dx[:, s] = da @ W
-        dh_carry = dh_pass + da @ U
-        dc_carry = dc_pass + dc_tilde * f
-    return dx
+        dx[:n, s] += da @ W
+        dh_carry[:n] = da @ U
+        dc_carry[:n] = dc_tilde * f
 
 
 def backward(
@@ -85,7 +84,7 @@ def backward(
     """
     if cache is None:
         raise ValidationError("backward needs the cache from a forward pass")
-    batch = cache.batch
+    batch = cache.batch  # in length order, like every cached array but probs
     B = batch.ids.shape[0]
     y = batch.labels
     w = np.where(y == 1.0, w_pos, w_neg)
@@ -93,7 +92,7 @@ def backward(
     grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
 
     # output head: d loss / d logit
-    dlogit = w * (cache.probs - y) / B
+    dlogit = w * (cache.probs[cache.order] - y) / B
     grads["out.w"] += cache.context.T @ dlogit
     grads["out.b"] += dlogit.sum()
     dcontext = dlogit[:, None] * model.out_w.data[None, :]
@@ -112,15 +111,13 @@ def backward(
 
     # split the concatenated states and run BPTT per direction
     h_dim = model.dims.hidden
-    dx_fwd = _direction_backward(model.forward_cell, cache.fwd,
-                                 dH[:, :, :h_dim], grads, "fwd")
-    dx_bwd = _direction_backward(model.backward_cell, cache.bwd,
-                                 dH[:, ::-1, h_dim:], grads, "bwd")
-    dx = dx_fwd + dx_bwd[:, ::-1]
+    dx = np.zeros_like(cache.embedded)
+    _direction_backward(model.forward_cell, cache.fwd, dH[:, :, :h_dim], grads, "fwd", dx)
+    _direction_backward(model.backward_cell, cache.bwd, dH[:, ::-1, h_dim:], grads, "bwd",
+                        dx[:, ::-1])
 
-    demb = grads["embedding"]
-    np.add.at(demb, batch.ids.ravel(), dx.reshape(-1, dx.shape[2]))
-    demb[0] = 0.0  # padding row is pinned
+    real = batch.mask > 0
+    np.add.at(grads["embedding"], batch.ids[real], dx[real])
 
     for name, tensor in model.named_parameters():
         tensor.grad = grads[name]

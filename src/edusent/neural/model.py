@@ -3,8 +3,15 @@
 `forward` caches every intermediate the hand-written backward pass in
 `backprop` needs. Inference (`batch_probs`, and through it
 `predict_sequences`) runs the same steps without a cache: each direction
-keeps only its current (h, c) and the masked output rows attention reads.
+keeps only its current (h, c) and the output rows attention reads.
 All math is float64 and deterministic.
+
+Both passes put a batch's rows in length order, longest first, so the rows
+that still have a token at a step are a prefix of the batch. Each LSTM step
+updates only that prefix; a row whose tokens have ended (or, for the
+backward direction, not yet begun) keeps its (h, c), and its padded
+positions get zero output rows without any work. Only the B-length
+probabilities are put back in the caller's row order.
 
 Architecture: trainable embedding (row 0 pinned to zeros for padding),
 one LSTM per direction, additive (tanh) attention over the concatenated
@@ -104,8 +111,9 @@ class RnnModel:
 class TokenBatch:
     """Padded id matrix with its mask and labels.
 
-    ids uses 0 for padding; mask is 1.0 exactly where ids != 0, and every
-    row must contain at least one real token.
+    ids uses 0 for padding; mask is 1.0 exactly where ids != 0, every row
+    must contain at least one real token, and a row's real tokens come
+    first (its mask never rises), as `build_batch` lays them out.
     """
 
     ids: np.ndarray  # (batch, max_len) int64
@@ -119,6 +127,15 @@ class TokenBatch:
             raise ValidationError("mask must be 0 exactly at padding ids")
         if np.any(self.mask.sum(axis=1) < 1):
             raise ValidationError("every batch row needs at least one unmasked token")
+        if np.any(np.diff(self.mask, axis=1) > 0.0):
+            raise ValidationError("padding must follow a row's real tokens")
+
+    def in_length_order(self) -> tuple[np.ndarray, "TokenBatch"]:
+        """(order, batch of rows order[0], order[1], ...): longest row first,
+        stable on ties."""
+        order = np.argsort(-np.count_nonzero(self.ids, axis=1), kind="stable")
+        return order, TokenBatch(ids=self.ids[order], mask=self.mask[order],
+                                 labels=self.labels[order])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -211,19 +228,24 @@ def lstm_step(
 
 @dataclass
 class DirectionCache:
-    """Per-timestep values of one direction, in processing order."""
+    """Per-timestep values of one direction, in processing order, for rows
+    in length order. Step s updates the first steps[s + 1] - steps[s] rows;
+    `gates` holds exactly those rows, step after step."""
 
     x: np.ndarray  # (B, L, E) inputs as consumed (reversed for the backward cell)
-    mask: np.ndarray  # (B, L)
-    gates: np.ndarray  # (B, L, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
-    c_tilde: np.ndarray  # candidate cell value before mask gating
-    h_state: np.ndarray  # carried hidden state after mask gating
-    c_state: np.ndarray
+    steps: np.ndarray  # (L + 1,) step s has rows steps[s]:steps[s + 1] of gates
+    gates: np.ndarray  # (real positions, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
+    h: np.ndarray  # (B, L, hidden) hidden state, the direction's half of H
+    c: np.ndarray  # (B, L, hidden) cell state, zero where a row has not begun
 
 
 @dataclass
 class ForwardCache:
+    """Every array is in length order (`batch` is the caller's batch
+    reordered by `order`) except `probs`, which is in the caller's order."""
+
     batch: TokenBatch
+    order: np.ndarray  # (B,) caller row of each length-ordered row
     embedded: np.ndarray
     fwd: DirectionCache
     bwd: DirectionCache
@@ -238,46 +260,50 @@ class ForwardCache:
 def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray,
                    out: np.ndarray, cache: bool = True) -> Optional[DirectionCache]:
     """Run one direction over already time-ordered inputs, writing each
-    step's output row m * h_tilde into `out` (B, L, hidden), a view of H.
+    step's hidden state into `out` (B, L, hidden), a zeroed view of H.
 
-    Masked steps compute gates but pass the carried (h, c) state through
-    unchanged and contribute zero rows to the output, so a padded tail never
-    alters real positions. With `cache` off only the current (h, c) is kept
-    and None is returned.
+    The rows with a token at a step must be a prefix of the batch: rows in
+    length order, longest first, padded after (forward) or before (reversed)
+    their tokens. A step updates only that prefix; every other row keeps its
+    (h, c) state, and its output row stays zero, so padding never alters real
+    positions. With `cache` off only the current (h, c) is kept and None is
+    returned.
     """
-    B, L, E = x.shape
+    B, L, _ = x.shape
     h_dim = cell.U.data.shape[1]
-    # the input projection of every timestep in one GEMM; with a cache, each
-    # step then overwrites its slice with the gate activations
-    gates_all = (x.reshape(B * L, E) @ cell.W.data.T).reshape(B, L, 4 * h_dim)
+    steps = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=0))))
+    # the input projection of every real position in one GEMM, in step order;
+    # with a cache, each step then overwrites its rows with the activations
+    gates_all = x.transpose(1, 0, 2)[mask.T > 0.0] @ cell.W.data.T
     if cache:
-        ct_all, hs_all, cs_all = (np.empty((B, L, h_dim)) for _ in range(3))
+        c_all = np.zeros((B, L, h_dim))  # backprop reads c before a row's first token as 0
     h = np.zeros((B, h_dim))
     c = np.zeros((B, h_dim))
     for s in range(L):
-        m = mask[:, s : s + 1]
-        h_tilde, c_tilde, gates = lstm_step(gates_all[:, s], h, c, cell)
-        h = m * h_tilde + (1.0 - m) * h
-        c = m * c_tilde + (1.0 - m) * c
-        out[:, s] = m * h_tilde
+        n = steps[s + 1] - steps[s]
+        rows = slice(steps[s], steps[s + 1])
+        h[:n], c[:n], gates = lstm_step(gates_all[rows], h[:n], c[:n], cell)
+        out[:n, s] = h[:n]
         if cache:
-            gates_all[:, s] = gates
-            ct_all[:, s], hs_all[:, s], cs_all[:, s] = c_tilde, h, c
+            gates_all[rows] = gates
+            c_all[:n, s] = c[:n]
     if not cache:
         return None
-    return DirectionCache(x=x, mask=mask, gates=gates_all, c_tilde=ct_all,
-                          h_state=hs_all, c_state=cs_all)
+    return DirectionCache(x=x, steps=steps, gates=gates_all, h=out, c=c_all)
 
 
 def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray, cache: bool = True):
     """Concatenated per-position hidden states, (B, L, 2 * hidden).
 
+    Rows must be in length order, longest first (`TokenBatch.in_length_order`).
     Returns (H, fwd_cache, bwd_cache); masked positions are zero rows. With
     `cache` off both caches are None.
     """
+    if np.any(np.diff(np.count_nonzero(mask, axis=1)) > 0):
+        raise ValidationError("bilstm needs rows in length order, longest first")
     B, L, _ = embedded.shape
     h_dim = model.dims.hidden
-    H = np.empty((B, L, 2 * h_dim))
+    H = np.zeros((B, L, 2 * h_dim))
     fwd = _run_direction(model.forward_cell, embedded, mask, H[:, :, :h_dim], cache)
     bwd = _run_direction(model.backward_cell, embedded[:, ::-1], mask[:, ::-1],
                          H[:, ::-1, h_dim:], cache)
@@ -303,21 +329,28 @@ def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
 
 
 def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
-    """Full forward pass; the returned cache feeds `backprop.backward`."""
+    """Full forward pass over the rows in length order; the returned cache
+    feeds `backprop.backward`, and its `probs` are in the caller's order."""
+    order, batch = batch.in_length_order()
     embedded = embed(model, batch)
     H, fwd, bwd = bilstm(model, embedded, batch.mask)
     context, alphas, u = attention(model, H, batch.mask)
     logits = context @ model.out_w.data + model.out_b.data
-    probs = sigmoid(logits)
-    return ForwardCache(batch=batch, embedded=embedded, fwd=fwd, bwd=bwd, H=H,
-                        u=u, alphas=alphas, context=context, logits=logits, probs=probs)
+    probs = np.empty_like(logits)
+    probs[order] = sigmoid(logits)
+    return ForwardCache(batch=batch, order=order, embedded=embedded, fwd=fwd, bwd=bwd,
+                        H=H, u=u, alphas=alphas, context=context, logits=logits,
+                        probs=probs)
 
 
 def batch_probs(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     """`forward(model, batch).probs`, bit for bit, without building a cache."""
+    order, batch = batch.in_length_order()
     H, _, _ = bilstm(model, embed(model, batch), batch.mask, cache=False)
     context, _, _ = attention(model, H, batch.mask)
-    return sigmoid(context @ model.out_w.data + model.out_b.data)
+    probs = np.empty(len(order))
+    probs[order] = sigmoid(context @ model.out_w.data + model.out_b.data)
+    return probs
 
 
 def predict_sequences(
@@ -330,13 +363,16 @@ def predict_sequences(
     Rows are scored in chunks of up to `chunk` rows of similar clipped
     length, so a chunk pads little. Empty sequences cannot enter a
     TokenBatch; they fall back to the bias-only path sigma(out_b), i.e. the
-    model's prior.
+    model's prior. So does every row when the output head is all zero: H is
+    bounded, so each logit is then exactly out_b, and no pass is run.
     """
+    probs = np.full(len(sequences), sigmoid(model.out_b.data))
+    if not model.out_w.data.any():
+        return probs
     max_len = model.dims.max_len
     lengths = np.array([min(len(seq), max_len) for seq in sequences], dtype=np.int64)
     rows = np.flatnonzero(lengths)
     rows = rows[np.argsort(lengths[rows], kind="stable")]
-    probs = np.full(len(sequences), sigmoid(model.out_b.data))
     for start in range(0, len(rows), chunk):
         part = rows[start : start + chunk]
         batch = build_batch([sequences[r] for r in part], np.zeros(len(part)), max_len)

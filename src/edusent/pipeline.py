@@ -314,18 +314,38 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _example(row) -> LabeledExample:
+    tokens, raw, label = row["tokens"], row["raw"], _LABELS[row["label"]]
+    if not (isinstance(tokens, list) and isinstance(raw, str)):
+        raise TypeError("tokens are not a list, or raw is not a string")
+    "".join(tokens)  # a TypeError unless every token is a string
+    return LabeledExample(tokens=tokens, raw_comment=raw, label=label)
+
+
+#: examples.jsonl lines per json.loads call: few calls, and few parsed rows alive
+_PARSE_BLOCK = 512
+
+
 def _read_examples(path: Path) -> list:
     examples = []
     line_no = 0
-    try:
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            row = json.loads(line)
-            tokens, raw, label = row["tokens"], row["raw"], _LABELS[row["label"]]
-            if not (isinstance(tokens, list) and isinstance(raw, str)):
-                raise TypeError("tokens are not a list, or raw is not a string")
-            "".join(tokens)  # a TypeError unless every token is a string
-            examples.append(LabeledExample(tokens=tokens, raw_comment=raw, label=label))
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: JSON or UTF-8
+    try:  # ValueError: JSON or UTF-8
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for start in range(0, len(lines), _PARSE_BLOCK):
+            block = lines[start : start + _PARSE_BLOCK]
+            try:
+                # a raw newline cannot occur inside a JSON string, so no string
+                # runs from one line into the next
+                rows = json.loads("[" + ",\n".join(block) + "]")
+                if len(rows) == len(block):
+                    examples += [_example(row) for row in rows]
+                    continue
+            except (ValueError, KeyError, TypeError):
+                pass
+            # a line of this block is malformed: read it line by line to name it
+            for line_no, line in enumerate(block, start + 1):
+                examples.append(_example(json.loads(line)))
+    except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"{path} is malformed at line {line_no}: {exc!r}") from exc
     return examples
 

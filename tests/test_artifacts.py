@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import edusent.pipeline
 from edusent.cli import main
+from edusent.errors import SchemaError
 from edusent.linear import LinearModel
 from edusent.neural import RnnDims, init_model
 from edusent.pipeline import (
@@ -118,6 +119,53 @@ class TestMalformedArtifact:
         rc = main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)])
         assert rc == 2
         assert str(bundle_dir / name) in capsys.readouterr().err
+
+
+class TestExamplesFile:
+    """examples.jsonl is parsed a block of lines per call; a malformed line
+    is still named."""
+
+    @pytest.fixture(autouse=True, params=[2, 3, 512])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(edusent.pipeline, "_PARSE_BLOCK", request.param)
+
+    @staticmethod
+    def _rewrite_line(root: Path, line_no: int, text: str) -> str:
+        path = root / "examples.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line_no - 1] = text + "\n"
+        path.write_text("".join(lines))
+        return str(path)
+
+    @pytest.mark.parametrize("line_no, text, error", [
+        (3, '{"id": 2, "label": "Positive", "raw": "a", "tokens": ["a"', "JSONDecodeError("),
+        (1, "", "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')"),
+        (4, '{"id": 3, "label": "Meh", "raw": "a", "tokens": ["a"]}', "KeyError('Meh')"),
+        (2, '{"id": 1, "label": "Negative", "raw": "a", "tokens": [1]}', "TypeError("),
+        (5, '{"id": 4, "label": "Negative", "raw": "a", "tokens": []}, {"id": 5}',
+         "JSONDecodeError('Extra data: line 1 column 57 (char 56)')"),
+    ], ids=["cut", "blank", "unknown-label", "int-token", "two-rows"])
+    def test_error_names_the_line(self, bundle_dir, line_no, text, error):
+        path = self._rewrite_line(bundle_dir, line_no, text)
+        with pytest.raises(SchemaError) as info:
+            load_bundle(bundle_dir)
+        message = str(info.value)
+        assert message.startswith(f"{path} is malformed at line {line_no}: {error}")
+
+    def test_not_utf8_is_line_zero(self, bundle_dir):
+        path = bundle_dir / "examples.jsonl"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(SchemaError, match=r"malformed at line 0: UnicodeDecodeError\("):
+            load_bundle(bundle_dir)
+
+    def test_rows_match_a_per_line_parse(self, bundle_dir):
+        lines = (bundle_dir / "examples.jsonl").read_text().splitlines()
+        examples = load_bundle(bundle_dir).examples
+        assert len(examples) == len(lines) > 3
+        for example, line in zip(examples, lines):
+            row = json.loads(line)
+            assert (example.tokens, example.raw_comment, str(example.label)) == \
+                (row["tokens"], row["raw"], row["label"])
 
 
 class _FullDisk:

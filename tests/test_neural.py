@@ -124,11 +124,17 @@ class TestBilstm:
     def test_masked_tail_does_not_alter_earlier_outputs(self):
         model = init_model(DIMS, seed=4)
         short = build_batch([[3, 4]], [1.0], DIMS.max_len)
-        wide = build_batch([[3, 4], [5, 6, 7, 8]], [1.0, 0.0], DIMS.max_len)
+        wide = build_batch([[5, 6, 7, 8], [3, 4]], [0.0, 1.0], DIMS.max_len)
         H_short, _, _ = bilstm(model, embed(model, short), short.mask)
         H_wide, _, _ = bilstm(model, embed(model, wide), wide.mask)
-        np.testing.assert_allclose(H_wide[0, :2], H_short[0, :2], atol=1e-14)
-        np.testing.assert_array_equal(H_wide[0, 2:], 0.0)
+        np.testing.assert_allclose(H_wide[1, :2], H_short[0, :2], atol=1e-14)
+        np.testing.assert_array_equal(H_wide[1, 2:], 0.0)
+
+    def test_rows_out_of_length_order_rejected(self):
+        model = init_model(DIMS, seed=4)
+        batch = build_batch([[3, 4], [5, 6, 7, 8]], [1.0, 0.0], DIMS.max_len)
+        with pytest.raises(ValidationError, match="length order"):
+            bilstm(model, embed(model, batch), batch.mask)
 
 
 class TestAttention:
@@ -220,6 +226,13 @@ class TestBatches:
             TokenBatch(ids=np.array([[1, 0]]), mask=np.array([[1.0, 1.0]]),
                        labels=np.array([1.0]))
 
+    @pytest.mark.parametrize("ids", [[[0, 3]], [[1, 0, 2]], [[4, 5], [0, 6]]])
+    def test_padding_before_a_token_rejected(self, ids):
+        ids = np.array(ids)
+        with pytest.raises(ValidationError, match="padding must follow"):
+            TokenBatch(ids=ids, mask=(ids != 0).astype(np.float64),
+                       labels=np.zeros(len(ids)))
+
     def test_encode_tokens(self):
         t2i = {"good": 0, "class": 4}
         assert encode_tokens(["good", "zzz", "class"], t2i, max_len=8) == [1, 5]
@@ -284,6 +297,70 @@ class TestInference:
         assert np.isfinite(dataset_loss(model, ds, NeuralTrainConfig()))
         with pytest.raises(AssertionError, match="DirectionCache"):
             forward(model, build_batch(seqs, np.zeros(len(seqs)), DIMS.max_len))
+
+
+class TestActiveRows:
+    """Each LSTM step runs only on the rows that still have a token."""
+
+    SEQUENCES = [[3, 1, 4, 1, 5], [9, 2], [6, 5, 3, 5], [8], [9, 7], [9, 3, 2, 3, 8, 4],
+                 [6, 2, 6, 4]]
+    LABELS = [1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+
+    def _probs_and_grads(self, model, rows):
+        batch = build_batch([self.SEQUENCES[r] for r in rows],
+                            [self.LABELS[r] for r in rows], DIMS.max_len)
+        cache = forward(model, batch)
+        grads = backward(model, cache, 1.3, 0.7)
+        probs = np.empty(len(rows))
+        probs[rows] = cache.probs
+        return probs, grads
+
+    def test_row_order_does_not_matter(self):
+        model = _scoring_model()
+        by_length = sorted(range(len(self.SEQUENCES)), key=lambda r: len(self.SEQUENCES[r]))
+        shuffled = np.random.default_rng(3).permutation(len(self.SEQUENCES)).tolist()
+        p_up, g_up = self._probs_and_grads(model, by_length)
+        for rows in (by_length[::-1], shuffled):
+            probs, grads = self._probs_and_grads(model, rows)
+            np.testing.assert_allclose(probs, p_up, rtol=0, atol=1e-12)
+            for name, g in grads.items():
+                np.testing.assert_allclose(g, g_up[name], rtol=0, atol=1e-12, err_msg=name)
+        assert any(np.any(g != 0.0) for g in g_up.values())
+
+    def test_one_lstm_row_step_per_real_token(self, monkeypatch):
+        row_steps = []
+        step = model_module.lstm_step
+
+        def counting(xw_t, h_prev, c_prev, cell):
+            row_steps.append(xw_t.shape[0])
+            return step(xw_t, h_prev, c_prev, cell)
+
+        monkeypatch.setattr(model_module, "lstm_step", counting)
+        model = _scoring_model()
+        batch = build_batch(self.SEQUENCES, self.LABELS, DIMS.max_len)
+        assert batch.mask.sum() < batch.mask.size
+        for run in (forward, batch_probs):
+            row_steps.clear()
+            run(model, batch)
+            assert sum(row_steps) == 2 * batch.mask.sum()
+            assert len(row_steps) == 2 * batch.ids.shape[1]
+
+    def test_zero_head_skips_the_pass_and_matches_it(self, monkeypatch):
+        model = _scoring_model()  # random LSTM weights, out_b = -0.3
+        model.out_w.data[:] = 0.0
+        seqs = TestInference.SEQUENCES
+        batch = build_batch([s for s in seqs if s], np.zeros(7), DIMS.max_len)
+        assert batch.mask.sum() < batch.mask.size  # rows of mixed length
+        full = forward(model, batch).probs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scored rows through the LSTM")
+
+        monkeypatch.setattr(model_module, "batch_probs", refuse)
+        probs = predict_sequences(model, seqs)
+        assert np.array_equal(probs[[i for i, s in enumerate(seqs) if s]], full)
+        # the empty rows take the prior, which every full-pass row equals too
+        assert np.array_equal(probs, np.full(len(seqs), full[0]))
 
 
 class TestPersistence:

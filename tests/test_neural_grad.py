@@ -62,6 +62,13 @@ def test_gradients_match_central_differences():
     check_all_tensors(model, _batch())
 
 
+def test_gradients_match_with_tied_lengths_in_ascending_order():
+    model = _perturb_model(seed=8)
+    batch = build_batch([[5, 6], [2, 7], [1, 4, 2], [3, 3, 6], [7, 1, 4, 2, 5]],
+                        [1.0, 0.0, 0.0, 1.0, 1.0], DIMS.max_len)
+    check_all_tensors(model, batch)
+
+
 def test_gradients_still_match_after_training_steps():
     model = _perturb_model(seed=4)
     batch = _batch()
