@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, build_config
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_utf8
 from .evalmetrics import ConfusionMatrix, RocCurve, evaluation_report
 from .features import tfidf_transform
 from .ingest import split
@@ -228,7 +228,7 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
 
 
 def _read_sentences(path) -> list:
-    lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_utf8(path).splitlines()]
     sentences = [ln for ln in lines if ln]
     if not sentences:
         raise ValidationError(f"sentence file {path} is empty")

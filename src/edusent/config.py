@@ -1,8 +1,8 @@
 """Pipeline configuration: defaults, flat config files, CLI overrides.
 
 The config file is a flat key = value text file (``#`` starts a comment);
-keys match the dataclass fields below. Precedence is CLI flag > config
-file > built-in default.
+keys match the dataclass fields below, and each value is parsed by its
+field's type. Precedence is CLI flag > config file > built-in default.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_utf8
 
 
 @dataclass
@@ -50,28 +50,29 @@ class PipelineConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
-def _parse_value(raw: str):
+def _parse_value(raw: str, kind: str):
+    """`raw` as a value of the field type `kind`: an int literal for an int,
+    an int or float literal for a float, true/false for a bool, and the text
+    (less one pair of enclosing quotes) for any other. ValueError otherwise."""
     raw = raw.strip()
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float(raw)
+    if kind == "bool":
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(f"invalid literal for bool: {raw!r}")
+        return raw.lower() == "true"
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
         return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
     return raw
 
 
 def read_config_file(path: Union[str, Path]) -> dict:
-    """Parse ``key = value`` lines; unknown keys are a schema error."""
+    """Parse ``key = value`` lines, each value by its key's field type; an
+    unknown key or a mistyped value is a schema error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path)
     except OSError as exc:
         raise SchemaError(f"cannot read config file {path}: {exc}") from exc
     values = {}
@@ -85,7 +86,12 @@ def read_config_file(path: Union[str, Path]) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _FIELD_TYPES:
             raise SchemaError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(raw)
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = _parse_value(raw, kind)
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: {key} takes {kind} values, "
+                              f"not {raw.strip()!r}") from None
     return values
 
 

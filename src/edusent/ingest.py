@@ -18,7 +18,7 @@ from typing import BinaryIO, Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_utf8
 
 RATING_MIN = 1.0
 RATING_MAX = 5.0
@@ -137,7 +137,7 @@ def parse_csv(
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = read_utf8(source)
 
     reader = csv.DictReader(io.StringIO(text))
     header = reader.fieldnames

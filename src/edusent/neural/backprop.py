@@ -6,7 +6,8 @@ through time), and the embedding lookup. Like the forward pass, each BPTT
 step touches only the rows that had a token at that step, a prefix of the
 length-ordered batch; every other row carries its (dh, dc) through
 unchanged. Only real positions scatter into the embedding gradient, so
-the padding row always receives an exactly-zero gradient.
+the padding row always receives an exactly-zero gradient. `backward`
+returns the gradients as a dict keyed like `RnnModel.params`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
-from .model import DirectionCache, ForwardCache, LstmCellParams, RnnModel
+from .model import DirectionCache, ForwardCache, RnnModel
 
 
 def weighted_bce(probs, labels, w_pos: float, w_neg: float) -> float:
@@ -28,21 +29,22 @@ def weighted_bce(probs, labels, w_pos: float, w_neg: float) -> float:
 
 
 def _direction_backward(
-    cell: LstmCellParams,
+    params: dict,
+    side: str,
     cache: DirectionCache,
     dH_dir: np.ndarray,
     grads: dict,
-    prefix: str,
     dx: np.ndarray,
 ) -> None:
-    """BPTT for one direction; adds the gradient w.r.t. its input sequence
-    into `dx` (B, L, E), a view in the direction's processing order."""
+    """BPTT for direction `side`; adds its parameter gradients into `grads`
+    and the gradient w.r.t. its input sequence into `dx` (B, L, E), a view
+    in the direction's processing order."""
     B, L, _ = cache.x.shape
     h_dim = cache.c.shape[2]
     dh_carry = np.zeros((B, h_dim))
     dc_carry = np.zeros((B, h_dim))
-    W, U = cell.W.data, cell.U.data
-    dW, dU, db = grads[f"{prefix}.W"], grads[f"{prefix}.U"], grads[f"{prefix}.b"]
+    W, U = params[f"{side}.W"], params[f"{side}.U"]
+    dW, dU, db = grads[f"{side}.W"], grads[f"{side}.U"], grads[f"{side}.b"]
 
     for s in range(L - 1, -1, -1):
         # only the first n rows had a token at step s; the others' carries
@@ -78,10 +80,8 @@ def backward(
     w_pos: float = 1.0,
     w_neg: float = 1.0,
 ) -> dict:
-    """Exact gradients of the weighted-BCE loss for every parameter tensor.
-
-    Fills each Tensor's grad slot and returns {name: gradient array}.
-    """
+    """Exact gradients of the weighted-BCE loss, {name: array} keyed and
+    shaped like `model.params`."""
     if cache is None:
         raise ValidationError("backward needs the cache from a forward pass")
     batch = cache.batch  # in length order, like every cached array but probs
@@ -89,13 +89,14 @@ def backward(
     y = batch.labels
     w = np.where(y == 1.0, w_pos, w_neg)
 
-    grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
+    params = model.params
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
 
     # output head: d loss / d logit
     dlogit = w * (cache.probs[cache.order] - y) / B
     grads["out.w"] += cache.context.T @ dlogit
     grads["out.b"] += dlogit.sum()
-    dcontext = dlogit[:, None] * model.out_w.data[None, :]
+    dcontext = dlogit[:, None] * params["out.w"][None, :]
 
     # attention: context = sum_t alpha_t H_t with alpha = softmax(v . tanh(W H))
     alphas, u, H = cache.alphas, cache.u, cache.H
@@ -104,21 +105,17 @@ def backward(
     de = alphas * (dalpha - np.sum(alphas * dalpha, axis=1, keepdims=True))
     A = u.shape[2]
     grads["attn.v_a"] += de.reshape(-1) @ u.reshape(-1, A)
-    du = de[:, :, None] * model.attention.v_a.data[None, None, :]
+    du = de[:, :, None] * params["attn.v_a"][None, None, :]
     dpre = du * (1.0 - u ** 2)
     grads["attn.W_a"] += dpre.reshape(-1, A).T @ H.reshape(-1, H.shape[2])
-    dH += dpre @ model.attention.W_a.data
+    dH += dpre @ params["attn.W_a"]
 
     # split the concatenated states and run BPTT per direction
     h_dim = model.dims.hidden
     dx = np.zeros_like(cache.embedded)
-    _direction_backward(model.forward_cell, cache.fwd, dH[:, :, :h_dim], grads, "fwd", dx)
-    _direction_backward(model.backward_cell, cache.bwd, dH[:, ::-1, h_dim:], grads, "bwd",
-                        dx[:, ::-1])
+    _direction_backward(params, "fwd", cache.fwd, dH[:, :, :h_dim], grads, dx)
+    _direction_backward(params, "bwd", cache.bwd, dH[:, ::-1, h_dim:], grads, dx[:, ::-1])
 
     real = batch.mask > 0
     np.add.at(grads["embedding"], batch.ids[real], dx[real])
-
-    for name, tensor in model.named_parameters():
-        tensor.grad = grads[name]
     return grads

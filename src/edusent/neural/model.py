@@ -16,7 +16,8 @@ probabilities are put back in the caller's row order.
 Architecture: trainable embedding (row 0 pinned to zeros for padding),
 one LSTM per direction, additive (tanh) attention over the concatenated
 hidden states, and a sigmoid output head that is zero-initialized so an
-untrained model emits exactly 0.5.
+untrained model emits exactly 0.5. Its 11 parameter arrays live in one
+dict, `RnnModel.params`, keyed by the names the model file uses.
 """
 
 from __future__ import annotations
@@ -30,26 +31,6 @@ from ..errors import ValidationError
 from ..linear import sigmoid
 
 
-class Tensor:
-    """A dense parameter array with an attached gradient slot."""
-
-    __slots__ = ("data", "grad")
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-
 @dataclass
 class RnnDims:
     vocab_size: int  # number of real terms; embedding has vocab_size + 1 rows
@@ -60,51 +41,19 @@ class RnnDims:
 
 
 @dataclass
-class LstmCellParams:
-    """Fused gate weights: input W (4h x embed), recurrent U (4h x h) and
-    bias b (4h,), with the gate row blocks in the order i, f, o, g."""
-
-    W: Tensor
-    U: Tensor
-    b: Tensor
-
-    def named_tensors(self, prefix: str):
-        yield f"{prefix}.W", self.W
-        yield f"{prefix}.U", self.U
-        yield f"{prefix}.b", self.b
-
-
-@dataclass
-class AttentionParams:
-    W_a: Tensor  # (attn_dim, 2 * hidden)
-    v_a: Tensor  # (attn_dim,)
-
-
-@dataclass
 class RnnModel:
-    dims: RnnDims
-    embedding: Tensor  # (vocab_size + 1, embed_dim); row 0 stays zero
-    forward_cell: LstmCellParams
-    backward_cell: LstmCellParams
-    attention: AttentionParams
-    out_w: Tensor  # (2 * hidden,)
-    out_b: Tensor  # scalar, shape ()
+    """The architecture and its float64 parameter arrays.
 
-    def named_parameters(self):
-        """Fixed-order (name, Tensor) pairs covering every trainable array."""
-        yield "embedding", self.embedding
-        yield from self.forward_cell.named_tensors("fwd")
-        yield from self.backward_cell.named_tensors("bwd")
-        yield "attn.W_a", self.attention.W_a
-        yield "attn.v_a", self.attention.v_a
-        yield "out.w", self.out_w
-        yield "out.b", self.out_b
+    `params` maps each name of `parameter_shapes(dims)`, in that order, to
+    its array: the names the model file stores, the gradient names
+    `backward` returns and the names `Adam.step` updates.
+    """
+
+    dims: RnnDims
+    params: dict
 
     def copy(self) -> "RnnModel":
-        model = init_model(self.dims, seed=0)
-        for (_, dst), (_, src) in zip(model.named_parameters(), self.named_parameters()):
-            dst.data = src.data.copy()
-        return model
+        return RnnModel(self.dims, {name: p.copy() for name, p in self.params.items()})
 
 
 @dataclass
@@ -143,44 +92,35 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_cell(rng: np.random.Generator, dims: RnnDims) -> LstmCellParams:
-    h, e = dims.hidden, dims.embed_dim
-    W, U = [], []
-    for _gate in "ifog":  # draws interleave per gate: W_i, U_i, W_f, U_f, ...
-        W.append(_glorot(rng, e, h, (h, e)))
-        U.append(_glorot(rng, h, h, (h, h)))
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0  # forget-gate bias 1.0 keeps early cell memory alive
-    return LstmCellParams(W=Tensor(np.concatenate(W)), U=Tensor(np.concatenate(U)),
-                          b=Tensor(b))
-
-
 def init_model(dims: RnnDims, seed: int) -> RnnModel:
+    """A fresh model: Glorot-uniform weights drawn from `seed` in the order
+    embedding, fwd, bwd, attention, and a zero output head."""
     rng = np.random.default_rng(seed)
-    emb = _glorot(rng, dims.vocab_size + 1, dims.embed_dim,
-                  (dims.vocab_size + 1, dims.embed_dim))
+    h, e, a = dims.hidden, dims.embed_dim, dims.attn_dim
+    emb = _glorot(rng, dims.vocab_size + 1, e, (dims.vocab_size + 1, e))
     emb[0] = 0.0
-    fwd = _init_cell(rng, dims)
-    bwd = _init_cell(rng, dims)
-    attn = AttentionParams(
-        W_a=Tensor(_glorot(rng, 2 * dims.hidden, dims.attn_dim,
-                           (dims.attn_dim, 2 * dims.hidden))),
-        v_a=Tensor(_glorot(rng, dims.attn_dim, 1, (dims.attn_dim,))),
-    )
-    return RnnModel(
-        dims=dims,
-        embedding=Tensor(emb),
-        forward_cell=fwd,
-        backward_cell=bwd,
-        attention=attn,
-        out_w=Tensor(np.zeros(2 * dims.hidden)),
-        out_b=Tensor(np.zeros(())),
-    )
+    params = {"embedding": emb}
+    for side in ("fwd", "bwd"):
+        W, U = [], []
+        for _gate in "ifog":  # draws interleave per gate: W_i, U_i, W_f, U_f, ...
+            W.append(_glorot(rng, e, h, (h, e)))
+            U.append(_glorot(rng, h, h, (h, h)))
+        b = np.zeros(4 * h)
+        b[h : 2 * h] = 1.0  # forget-gate bias 1.0 keeps early cell memory alive
+        params.update({f"{side}.W": np.concatenate(W), f"{side}.U": np.concatenate(U),
+                       f"{side}.b": b})
+    params["attn.W_a"] = _glorot(rng, 2 * h, a, (a, 2 * h))
+    params["attn.v_a"] = _glorot(rng, a, 1, (a,))
+    params["out.w"] = np.zeros(2 * h)
+    params["out.b"] = np.zeros(())
+    return RnnModel(dims, params)
 
 
 def parameter_shapes(dims: RnnDims) -> dict:
-    """name -> shape of each parameter of `init_model(dims, ...)`, in
-    `named_parameters` order, without allocating any."""
+    """name -> shape of each parameter of a model of `dims`, in
+    `RnnModel.params` order, without allocating any. A side's fused gate
+    weights are input W (4h x embed), recurrent U (4h x h) and bias b (4h,),
+    with the gate row blocks in the order i, f, o, g."""
     h, e, a = dims.hidden, dims.embed_dim, dims.attn_dim
     cell = {"W": (4 * h, e), "U": (4 * h, h), "b": (4 * h,)}
     return {
@@ -195,25 +135,27 @@ def parameter_shapes(dims: RnnDims) -> dict:
 
 def embed(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     """Row lookup, (batch, max_len, embed_dim); pads hit the pinned zero row."""
-    n_rows = model.embedding.data.shape[0]
-    if np.any(batch.ids < 0) or np.any(batch.ids >= n_rows):
-        raise ValidationError(f"token id outside embedding table of {n_rows} rows")
-    return model.embedding.data[batch.ids]
+    table = model.params["embedding"]
+    if np.any(batch.ids < 0) or np.any(batch.ids >= table.shape[0]):
+        raise ValidationError(f"token id outside embedding table of {table.shape[0]} rows")
+    return table[batch.ids]
 
 
 def lstm_step(
     xw_t: np.ndarray,
     h_prev: np.ndarray,
     c_prev: np.ndarray,
-    cell: LstmCellParams,
+    params: dict,
+    side: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM update from the step's input projection xw_t = x_t . W^T.
+    """One LSTM update of direction `side` ("fwd" or "bwd") from the step's
+    input projection xw_t = x_t . W^T.
 
     Accepts (batch, dim) or bare (dim,) arrays. Returns (h_t, c_t, gates),
     where gates holds sigma(i), sigma(f), sigma(o), tanh(g) side by side.
     """
     try:
-        a = xw_t + h_prev @ cell.U.data.T + cell.b.data
+        a = xw_t + h_prev @ params[f"{side}.U"].T + params[f"{side}.b"]
         n = h_prev.shape[-1]
         gates = np.empty_like(a)
         gates[..., : 3 * n] = sigmoid(a[..., : 3 * n])
@@ -257,9 +199,9 @@ class ForwardCache:
     probs: np.ndarray  # (B,)
 
 
-def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray,
+def _run_direction(params: dict, side: str, x: np.ndarray, mask: np.ndarray,
                    out: np.ndarray, cache: bool = True) -> Optional[DirectionCache]:
-    """Run one direction over already time-ordered inputs, writing each
+    """Run direction `side` over already time-ordered inputs, writing each
     step's hidden state into `out` (B, L, hidden), a zeroed view of H.
 
     The rows with a token at a step must be a prefix of the batch: rows in
@@ -270,11 +212,11 @@ def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray,
     returned.
     """
     B, L, _ = x.shape
-    h_dim = cell.U.data.shape[1]
+    h_dim = out.shape[2]
     steps = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=0))))
     # the input projection of every real position in one GEMM, in step order;
     # with a cache, each step then overwrites its rows with the activations
-    gates_all = x.transpose(1, 0, 2)[mask.T > 0.0] @ cell.W.data.T
+    gates_all = x.transpose(1, 0, 2)[mask.T > 0.0] @ params[f"{side}.W"].T
     if cache:
         c_all = np.zeros((B, L, h_dim))  # backprop reads c before a row's first token as 0
     h = np.zeros((B, h_dim))
@@ -282,7 +224,7 @@ def _run_direction(cell: LstmCellParams, x: np.ndarray, mask: np.ndarray,
     for s in range(L):
         n = steps[s + 1] - steps[s]
         rows = slice(steps[s], steps[s + 1])
-        h[:n], c[:n], gates = lstm_step(gates_all[rows], h[:n], c[:n], cell)
+        h[:n], c[:n], gates = lstm_step(gates_all[rows], h[:n], c[:n], params, side)
         out[:n, s] = h[:n]
         if cache:
             gates_all[rows] = gates
@@ -304,8 +246,8 @@ def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray, cache: bool 
     B, L, _ = embedded.shape
     h_dim = model.dims.hidden
     H = np.zeros((B, L, 2 * h_dim))
-    fwd = _run_direction(model.forward_cell, embedded, mask, H[:, :, :h_dim], cache)
-    bwd = _run_direction(model.backward_cell, embedded[:, ::-1], mask[:, ::-1],
+    fwd = _run_direction(model.params, "fwd", embedded, mask, H[:, :, :h_dim], cache)
+    bwd = _run_direction(model.params, "bwd", embedded[:, ::-1], mask[:, ::-1],
                          H[:, ::-1, h_dim:], cache)
     return H, fwd, bwd
 
@@ -318,8 +260,8 @@ def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
     """
     if np.any(mask.sum(axis=1) < 1):
         raise ValidationError("attention needs at least one unmasked position per row")
-    u = np.tanh(H @ model.attention.W_a.data.T)  # (B, L, A)
-    e = u @ model.attention.v_a.data  # (B, L)
+    u = np.tanh(H @ model.params["attn.W_a"].T)  # (B, L, A)
+    e = u @ model.params["attn.v_a"]  # (B, L)
     e_masked = np.where(mask > 0, e, -np.inf)
     e_shift = e_masked - e_masked.max(axis=1, keepdims=True)
     exps = np.where(mask > 0, np.exp(e_shift), 0.0)
@@ -335,7 +277,7 @@ def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
     embedded = embed(model, batch)
     H, fwd, bwd = bilstm(model, embedded, batch.mask)
     context, alphas, u = attention(model, H, batch.mask)
-    logits = context @ model.out_w.data + model.out_b.data
+    logits = context @ model.params["out.w"] + model.params["out.b"]
     probs = np.empty_like(logits)
     probs[order] = sigmoid(logits)
     return ForwardCache(batch=batch, order=order, embedded=embedded, fwd=fwd, bwd=bwd,
@@ -349,7 +291,7 @@ def batch_probs(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     H, _, _ = bilstm(model, embed(model, batch), batch.mask, cache=False)
     context, _, _ = attention(model, H, batch.mask)
     probs = np.empty(len(order))
-    probs[order] = sigmoid(context @ model.out_w.data + model.out_b.data)
+    probs[order] = sigmoid(context @ model.params["out.w"] + model.params["out.b"])
     return probs
 
 
@@ -366,8 +308,8 @@ def predict_sequences(
     model's prior. So does every row when the output head is all zero: H is
     bounded, so each logit is then exactly out_b, and no pass is run.
     """
-    probs = np.full(len(sequences), sigmoid(model.out_b.data))
-    if not model.out_w.data.any():
+    probs = np.full(len(sequences), sigmoid(model.params["out.b"]))
+    if not model.params["out.w"].any():
         return probs
     max_len = model.dims.max_len
     lengths = np.array([min(len(seq), max_len) for seq in sequences], dtype=np.int64)

@@ -2,7 +2,8 @@
 
 Class imbalance is handled through the loss weights (synthetic
 oversampling has no meaning for token sequences), batches are shuffled by
-a seeded generator, and early stopping tracks validation F1. The returned
+a seeded generator, and early stopping tracks validation F1. Each batch's
+gradient dict from `backward` goes straight into `Adam.step`. The returned
 model is the best-validation snapshot.
 """
 
@@ -25,9 +26,6 @@ class NeuralTrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_pos: float = 1.0
     weight_neg: float = 1.0
     seed: int = 0
@@ -64,32 +62,34 @@ class RnnTrainResult:
     best_epoch: int = -1
 
 
-class Adam:
-    """Adam with bias correction over a model's named parameter tensors."""
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, model: RnnModel, cfg: NeuralTrainConfig):
-        self.cfg = cfg
-        self.params = list(model.named_parameters())
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+
+class Adam:
+    """Adam with bias correction over a model's parameter dict, which
+    `step` updates in place from a gradient dict with the same names."""
+
+    def __init__(self, model: RnnModel, learning_rate: float):
+        self.params = model.params
+        self.learning_rate = learning_rate
+        self.m = {name: np.zeros_like(p) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in self.params.items()}
         self.t = 0
 
-    def step(self):
+    def step(self, grads: dict):
         self.t += 1
-        c = self.cfg
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
-        for name, tensor in self.params:
-            g = tensor.grad
-            if g is None:
-                raise ValidationError(f"parameter {name} has no gradient; run backward first")
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for name, p in self.params.items():
+            g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            tensor.data -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def _val_f1(labels: np.ndarray, probs: np.ndarray) -> float:
@@ -132,7 +132,7 @@ def train_rnn(
         model = initial.copy()
     else:
         model = init_model(dims, cfg.seed)
-    opt = Adam(model, cfg)
+    opt = Adam(model, cfg.learning_rate)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
 
     result = RnnTrainResult(model=model, initial_loss=dataset_loss(model, train, cfg))
@@ -152,9 +152,8 @@ def train_rnn(
             loss = weighted_bce(cache.probs, batch.labels, cfg.weight_pos, cfg.weight_neg)
             if not np.isfinite(loss):
                 raise ValidationError(f"training diverged (loss not finite) at epoch {epoch}, batch {bi}")
-            backward(model, cache, cfg.weight_pos, cfg.weight_neg)
-            opt.step()
-            model.embedding.data[0] = 0.0
+            opt.step(backward(model, cache, cfg.weight_pos, cfg.weight_neg))
+            model.params["embedding"][0] = 0.0
             total += loss * len(idx)
         result.epoch_losses.append(total / n)
 

@@ -51,7 +51,6 @@ from .neural import (
     RnnModel,
     SequenceDataset,
     encode_tokens,
-    init_model,
     parameter_shapes,
 )
 from .resample import class_weights
@@ -163,9 +162,9 @@ def _file_blocks(name: str, shape: tuple) -> list:
 
 
 def _file_entries(model: RnnModel):
-    for name, t in model.named_parameters():
-        blocks = _file_blocks(name, t.shape)
-        for (file_name, shape), flat in zip(blocks, t.data.reshape(len(blocks), -1)):
+    for name, p in model.params.items():
+        blocks = _file_blocks(name, p.shape)
+        for (file_name, shape), flat in zip(blocks, p.reshape(len(blocks), -1)):
             yield file_name, [list(shape), flat.tolist()]
 
 
@@ -189,7 +188,7 @@ def _rnn_model(payload: dict, path) -> RnnModel:
     if not isinstance(tensors, dict):
         raise SchemaError(f"{path}: tensors are not an object")
     dims = RnnDims(**dims)
-    # every stored shape must match `dims` before a tensor is allocated
+    # every stored shape must match `dims` before an array is allocated
     arrays = {}
     for name, shape in parameter_shapes(dims).items():
         blocks = []
@@ -201,10 +200,7 @@ def _rnn_model(payload: dict, path) -> RnnModel:
             blocks.append(_array(entry[1], f"{path}: tensor {file_name!r}",
                                  (math.prod(block_shape),)))
         arrays[name] = np.concatenate(blocks).reshape(shape)
-    model = init_model(dims, seed=0)
-    for name, tensor in model.named_parameters():
-        tensor.data = arrays[name]
-    return model
+    return RnnModel(dims, arrays)
 
 
 def load_model(path: Union[str, Path]) -> tuple:

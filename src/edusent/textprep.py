@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, read_utf8
 
 #: a token sequence is just an ordered list of lowercase strings
 TokenSequence = list
@@ -51,7 +51,7 @@ class StopwordList:
         if path is None:
             text, source = _builtin("stopwords.txt"), "builtin"
         else:
-            text, source = Path(path).read_text(encoding="utf-8"), str(path)
+            text, source = read_utf8(path), str(path)
         words = {
             line.strip()
             for line in text.splitlines()
@@ -88,7 +88,7 @@ class LemmaRuleTable:
         if path is None:
             text = _builtin("lemma_rules.tsv")
         else:
-            text = Path(path).read_text(encoding="utf-8")
+            text = read_utf8(path)
         rules = []
         exceptions = {}
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -142,8 +142,8 @@ def test_criterion_2_gradient_correctness():
         # sequence model, every parameter tensor, tolerance 1e-4, step 1e-3
         dims = RnnDims(vocab_size=7, embed_dim=4, hidden=3, attn_dim=3, max_len=5)
         model = init_model(dims, seed=3)
-        model.out_w.data[:] = rng.normal(size=model.out_w.data.shape) * 0.5
-        model.out_b.data[...] = 0.3
+        model.params["out.w"][:] = rng.normal(size=model.params["out.w"].shape) * 0.5
+        model.params["out.b"][...] = 0.3
         batch = build_batch([[1, 4, 2, 7, 3], [5, 6]], [1.0, 0.0], dims.max_len)
         w_pos, w_neg = 1.3, 0.7
         cache = forward(model, batch)
@@ -154,8 +154,8 @@ def test_criterion_2_gradient_correctness():
             return weighted_bce(c.probs, batch.labels, w_pos, w_neg)
 
         fd_step = 1e-3
-        for name, tensor in model.named_parameters():
-            flat = tensor.data.ravel()
+        for name, p in model.params.items():
+            flat = p.ravel()
             analytic = grads[name].ravel()
             for k in range(flat.size):
                 orig = flat[k]

@@ -7,6 +7,7 @@ import pytest
 import edusent.cli
 import edusent.pipeline
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
+from edusent.config import build_config
 from edusent.features import build_vocabulary, chi2_scores, presence_sets
 from edusent.neural import RnnDims, init_model
 from edusent.pipeline import BUNDLE_FILES, load_bundle, save_rnn_model
@@ -93,6 +94,47 @@ class TestPrepare:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n", encoding="utf-8")
         assert main(["prepare", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["seed = abc", "k = 2.5", "rnn_epochs = 1.5",
+                                      "patience = true", "fraction = half", "no_plots = 1"])
+    def test_mistyped_config_value_names_file_line_and_key(self, tmp_path, sample_csv,
+                                                           capsys, line):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(f"# typed values\n{line}\n", encoding="utf-8")
+        rc = main(["prepare", "--config", str(cfg), "--data", str(sample_csv),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        key = line.split(" = ")[0]
+        assert f"{cfg}:2: {key} takes " in capsys.readouterr().err
+
+    def test_config_values_take_their_field_type(self, tmp_path):
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text("lr_learning_rate = 2\nno_plots = TRUE\nk = 40\n"
+                       "column_comment = 'text'\n", encoding="utf-8")
+        values = build_config(str(cfg))
+        assert type(values.lr_learning_rate) is float and values.lr_learning_rate == 2.0
+        assert values.no_plots is True and values.k == 40
+        assert values.column_comment == "text"
+
+    def test_numeric_text_value_is_a_path(self, tmp_path, sample_csv, capsys):
+        cfg = tmp_path / "lexicon.cfg"
+        cfg.write_text("stopwords = 7\n", encoding="utf-8")
+        rc = main(["prepare", "--config", str(cfg), "--data", str(sample_csv),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "'7'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--data", "--stopwords", "--lemma-rules",
+                                      "--sentences"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, sample_csv, capsys, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("k = 3\ncaf\xe9\n".encode("latin-1"))
+        command = (["sensitivity", "--lr-model", "m.json", "--rnn-model", "m.json"]
+                   if flag == "--sentences" else ["prepare"])
+        options = {"--data": str(sample_csv), "--out": str(tmp_path / "o"), flag: str(bad)}
+        rc = main(command + [word for pair in options.items() for word in pair])
+        assert rc == 2
+        assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
 
     def test_invalid_config_values_are_domain_errors(self, tmp_path, sample_csv, capsys):
         rc = main(["prepare", "--data", str(sample_csv),

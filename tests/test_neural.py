@@ -25,22 +25,20 @@ from edusent.neural import (
     predict_sequences,
 )
 from edusent.neural import model as model_module
-from edusent.neural.model import LstmCellParams, Tensor
 from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
 V1_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v1.json"
 
 
-def _zero_cell(hidden=2, embed=2) -> LstmCellParams:
-    return LstmCellParams(W=Tensor(np.zeros((4 * hidden, embed))),
-                          U=Tensor(np.zeros((4 * hidden, hidden))),
-                          b=Tensor(np.zeros(4 * hidden)))
+def _zero_cell(hidden=2, embed=2) -> dict:
+    return {"fwd.W": np.zeros((4 * hidden, embed)), "fwd.U": np.zeros((4 * hidden, hidden)),
+            "fwd.b": np.zeros(4 * hidden)}
 
 
-def _step(x, h_prev, c_prev, cell):
+def _step(x, h_prev, c_prev, params, side="fwd"):
     """lstm_step from a raw input: project it through W first."""
-    h, c, _ = lstm_step(x @ cell.W.data.T, h_prev, c_prev, cell)
+    h, c, _ = lstm_step(x @ params[f"{side}.W"].T, h_prev, c_prev, params, side)
     return h, c
 
 
@@ -55,7 +53,7 @@ class TestEmbed:
         model = init_model(DIMS, seed=0)
         batch = build_batch([[4]], [1.0], DIMS.max_len)
         np.testing.assert_array_equal(embed(model, batch)[0, 0],
-                                      model.embedding.data[4])
+                                      model.params["embedding"][4])
 
     def test_identical_rows_identical_slices(self):
         model = init_model(DIMS, seed=0)
@@ -91,13 +89,13 @@ class TestLstmStep:
         c_prev = rng.normal(size=(4, DIMS.hidden)) * 3
         h_prev = rng.normal(size=(4, DIMS.hidden))
         x = rng.normal(size=(4, DIMS.embed_dim))
-        _, c = _step(x, h_prev, c_prev, model.forward_cell)
+        _, c = _step(x, h_prev, c_prev, model.params)
         assert np.all(np.abs(c) <= np.abs(c_prev) + 1.0 + 1e-12)
 
     def test_shape_mismatch(self):
         cell = _zero_cell()  # the input projection must be 4 * hidden = 8 wide
         with pytest.raises(ValidationError):
-            lstm_step(np.zeros(5), np.zeros(2), np.zeros(2), cell)
+            lstm_step(np.zeros(5), np.zeros(2), np.zeros(2), cell, "fwd")
 
 
 class TestBilstm:
@@ -106,15 +104,16 @@ class TestBilstm:
         batch = build_batch([[5]], [1.0], DIMS.max_len)
         embedded = embed(model, batch)
         H, _, _ = bilstm(model, embedded, batch.mask)
-        x = model.embedding.data[5]
+        x = model.params["embedding"][5]
         zeros = np.zeros(DIMS.hidden)
-        h_f, _ = _step(x, zeros, zeros, model.forward_cell)
-        h_b, _ = _step(x, zeros, zeros, model.backward_cell)
+        h_f, _ = _step(x, zeros, zeros, model.params, "fwd")
+        h_b, _ = _step(x, zeros, zeros, model.params, "bwd")
         np.testing.assert_allclose(H[0, 0], np.concatenate([h_f, h_b]), atol=1e-14)
 
     def test_palindrome_with_shared_cells_is_mirror_symmetric(self):
         model = init_model(DIMS, seed=3)
-        model.backward_cell = model.forward_cell
+        for name in "WUb":
+            model.params[f"bwd.{name}"] = model.params[f"fwd.{name}"]
         batch = build_batch([[2, 7, 2]], [1.0], DIMS.max_len)
         H, _, _ = bilstm(model, embed(model, batch), batch.mask)
         h = DIMS.hidden
@@ -186,14 +185,14 @@ class TestForward:
 
     def test_outputs_in_open_interval(self):
         model = init_model(DIMS, seed=9)
-        model.out_w.data[:] = 0.37  # nonzero head so probs move off 0.5
+        model.params["out.w"][:] = 0.37  # nonzero head so probs move off 0.5
         batch = build_batch([[1, 2, 3], [9, 8]], [1.0, 0.0], DIMS.max_len)
         probs = forward(model, batch).probs
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_batch_order_permutation(self):
         model = init_model(DIMS, seed=10)
-        model.out_w.data[:] = 0.2
+        model.params["out.w"][:] = 0.2
         a = build_batch([[1, 2], [3, 4, 5]], [1.0, 0.0], DIMS.max_len)
         b = build_batch([[3, 4, 5], [1, 2]], [0.0, 1.0], DIMS.max_len)
         pa = forward(model, a).probs
@@ -240,8 +239,8 @@ class TestBatches:
 
     def test_predict_sequences_bias_path_for_empty(self):
         model = init_model(DIMS, seed=12)
-        model.out_b.data[...] = 0.8
-        model.out_w.data[:] = 0.1
+        model.params["out.b"][...] = 0.8
+        model.params["out.w"][:] = 0.1
         probs = predict_sequences(model, [[], [1, 2]])
         assert probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-0.8)), abs=1e-12)
         assert probs[1] != probs[0]
@@ -251,8 +250,8 @@ def _scoring_model(seed=14):
     """An untrained model with a nonzero head, so probabilities differ per row."""
     model = init_model(DIMS, seed=seed)
     rng = np.random.default_rng(seed)
-    model.out_w.data[:] = rng.normal(size=2 * DIMS.hidden)
-    model.out_b.data[...] = -0.3
+    model.params["out.w"][:] = rng.normal(size=2 * DIMS.hidden)
+    model.params["out.b"][...] = -0.3
     return model
 
 
@@ -331,9 +330,9 @@ class TestActiveRows:
         row_steps = []
         step = model_module.lstm_step
 
-        def counting(xw_t, h_prev, c_prev, cell):
+        def counting(xw_t, *args):
             row_steps.append(xw_t.shape[0])
-            return step(xw_t, h_prev, c_prev, cell)
+            return step(xw_t, *args)
 
         monkeypatch.setattr(model_module, "lstm_step", counting)
         model = _scoring_model()
@@ -347,7 +346,7 @@ class TestActiveRows:
 
     def test_zero_head_skips_the_pass_and_matches_it(self, monkeypatch):
         model = _scoring_model()  # random LSTM weights, out_b = -0.3
-        model.out_w.data[:] = 0.0
+        model.params["out.w"][:] = 0.0
         seqs = TestInference.SEQUENCES
         batch = build_batch([s for s in seqs if s], np.zeros(7), DIMS.max_len)
         assert batch.mask.sum() < batch.mask.size  # rows of mixed length
@@ -366,7 +365,7 @@ class TestActiveRows:
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = init_model(DIMS, seed=13)
-        model.out_w.data[:] = np.linspace(-0.4, 0.4, 2 * DIMS.hidden)
+        model.params["out.w"][:] = np.linspace(-0.4, 0.4, 2 * DIMS.hidden)
         path = tmp_path / "model_rnn.json"
         save_rnn_model(model, path, vocab_ref="deadbeef")
         _, loaded, ref = load_model(path)
@@ -374,8 +373,9 @@ class TestPersistence:
         batch = build_batch([[1, 5, 3]], [1.0], DIMS.max_len)
         np.testing.assert_array_equal(forward(model, batch).probs,
                                       forward(loaded, batch).probs)
-        for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name], p)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -387,7 +387,7 @@ class TestPersistence:
 class TestFusedLayout:
     def test_eleven_parameter_tensors(self):
         model = init_model(DIMS, seed=0)
-        shapes = dict((name, t.shape) for name, t in model.named_parameters())
+        shapes = {name: p.shape for name, p in model.params.items()}
         assert len(shapes) == 11
         h, e = DIMS.hidden, DIMS.embed_dim
         assert shapes["fwd.W"] == (4 * h, e)
@@ -399,11 +399,11 @@ class TestFusedLayout:
     def test_parameter_shapes_are_init_model_shapes(self, dims):
         model = init_model(dims, seed=0)
         assert list(parameter_shapes(dims).items()) == [
-            (name, t.shape) for name, t in model.named_parameters()]
+            (name, p.shape) for name, p in model.params.items()]
 
     def test_forget_gate_rows_start_at_one(self):
         h = DIMS.hidden
-        b = init_model(DIMS, seed=0).forward_cell.b.data
+        b = init_model(DIMS, seed=0).params["fwd.b"]
         np.testing.assert_array_equal(b, [0.0] * h + [1.0] * h + [0.0] * (2 * h))
 
     def test_file_stores_per_gate_blocks(self, tmp_path):
@@ -416,7 +416,7 @@ class TestFusedLayout:
             shape, flat = tensors[f"bwd.U_{gate}"]
             assert shape == [h, h]
             np.testing.assert_array_equal(
-                np.reshape(flat, shape), model.backward_cell.U.data[k * h : (k + 1) * h])
+                np.reshape(flat, shape), model.params["bwd.U"][k * h : (k + 1) * h])
 
 
 class TestVersion1Fixture:

@@ -4,6 +4,7 @@ import pytest
 from conftest import toy_template_corpus
 from edusent.errors import ValidationError
 from edusent.neural import (
+    Adam,
     NeuralTrainConfig,
     RnnDims,
     SequenceDataset,
@@ -60,9 +61,9 @@ def test_deterministic_given_seed():
                             seed=3, patience=0)
     a = train_rnn(ds, ds, cfg, _dims(vocab))
     b = train_rnn(ds, ds, cfg, _dims(vocab))
-    for (name, ta), (_, tb) in zip(a.model.named_parameters(),
-                                   b.model.named_parameters()):
-        np.testing.assert_array_equal(ta.data, tb.data, err_msg=name)
+    assert list(a.model.params) == list(b.model.params)
+    for name, pa in a.model.params.items():
+        np.testing.assert_array_equal(pa, b.model.params[name], err_msg=name)
     assert a.epoch_losses == b.epoch_losses
 
 
@@ -104,7 +105,7 @@ def test_divergence_reports_epoch_and_batch():
     ds, vocab = _toy_dataset()
     dims = _dims(vocab)
     poisoned = init_model(dims, seed=0)
-    poisoned.out_w.data[0] = np.nan
+    poisoned.params["out.w"][0] = np.nan
     cfg = NeuralTrainConfig(epochs=2, batch_size=8, seed=6, patience=0)
     with pytest.raises(ValidationError, match="epoch 0"):
         train_rnn(ds, ds, cfg, dims, initial=poisoned)
@@ -180,3 +181,26 @@ def test_empty_validation_set_rejected():
     empty = SequenceDataset(sequences=[], labels=np.array([]))
     with pytest.raises(ValidationError):
         train_rnn(ds, empty, NeuralTrainConfig(epochs=1), _dims(vocab))
+
+
+def test_adam_two_steps_match_the_bias_corrected_formula():
+    model = init_model(RnnDims(vocab_size=3, embed_dim=2, hidden=2, attn_dim=2, max_len=4),
+                       seed=0)
+    start = model.copy().params
+    rng = np.random.default_rng(5)
+    grads = [{name: rng.normal(size=p.shape) for name, p in start.items()} for _ in range(2)]
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    opt = Adam(model, learning_rate=lr)
+    for g in grads:
+        opt.step(g)
+    for name, p in start.items():
+        m = np.zeros_like(p)
+        v = np.zeros_like(p)
+        for t, g in enumerate((grads[0][name], grads[1][name]), start=1):
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_array_equal(model.params[name], p, err_msg=name)
+    assert opt.t == 2
