@@ -7,6 +7,7 @@ field's type. Precedence is CLI flag > config file > built-in default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -122,6 +123,8 @@ def _validate(cfg: PipelineConfig) -> None:
         (cfg.k >= 1, "k must be >= 1"),
         (cfg.smote_k >= 1, "smote_k must be >= 1"),
         (cfg.lr_epochs >= 1 and cfg.rnn_epochs >= 1, "epoch counts must be >= 1"),
+        (all(map(math.isfinite, (cfg.lr_learning_rate, cfg.rnn_learning_rate, cfg.lr_l2))),
+         "learning rates and lr_l2 must be finite"),
         (cfg.lr_learning_rate > 0 and cfg.rnn_learning_rate > 0,
          "learning rates must be positive"),
         (cfg.rnn_batch_size >= 1, "rnn_batch_size must be >= 1"),

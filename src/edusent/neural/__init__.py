@@ -2,14 +2,12 @@
 
 from .backprop import backward, weighted_bce
 from .model import (
-    DirectionCache,
     ForwardCache,
     RnnDims,
     RnnModel,
     TokenBatch,
     attention,
     batch_probs,
-    bilstm,
     build_batch,
     embed,
     encode_tokens,
@@ -30,7 +28,6 @@ from .train import (
 
 __all__ = [
     "Adam",
-    "DirectionCache",
     "ForwardCache",
     "NeuralTrainConfig",
     "RnnDims",
@@ -41,7 +38,6 @@ __all__ = [
     "attention",
     "backward",
     "batch_probs",
-    "bilstm",
     "build_batch",
     "dataset_loss",
     "embed",

@@ -2,13 +2,17 @@
 
 Everything is differentiated by hand against the cached forward values:
 output head, attention softmax, both LSTM directions (backpropagation
-through time), and the embedding lookup. Like the forward pass, each BPTT
-step touches only the rows that had a token at that step, a prefix of the
-length-ordered batch; every other row carries its (dh, dc) through
-unchanged. Only real positions scatter into the embedding gradient, so
-the padding row always receives an exactly-zero gradient. `backward`
-returns the gradients as a dict keyed like `RnnModel.params`.
-"""
+through time), and the embedding lookup. Each direction first rebuilds its
+cells' previous (h, c) from the cached gates and H, with the forward
+pass's own expression for c, then walks its positions in reverse visiting
+order. Like the forward pass, each BPTT step touches only the rows that
+had a token at that position, a prefix of the length-ordered batch; every
+other row carries its (dh, dc) through unchanged. The step fills its
+cells' rows of one (cells, 4h) gate-gradient array, from which the
+direction's W, U and b gradients and its input gradient are each one
+product. Only real positions scatter into the embedding gradient, so the
+padding row always receives an exactly-zero gradient. `backward` returns
+the gradients as a dict keyed like `RnnModel.params`."""
 
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ValidationError
-from .model import DirectionCache, ForwardCache, RnnModel
+from .model import ForwardCache, RnnModel, halves, positions
 
 
 def weighted_bce(probs, labels, w_pos: float, w_neg: float) -> float:
@@ -31,47 +35,51 @@ def weighted_bce(probs, labels, w_pos: float, w_neg: float) -> float:
 def _direction_backward(
     params: dict,
     side: str,
-    cache: DirectionCache,
+    cache: ForwardCache,
+    H_dir: np.ndarray,
     dH_dir: np.ndarray,
     grads: dict,
-    dx: np.ndarray,
-) -> None:
-    """BPTT for direction `side`; adds its parameter gradients into `grads`
-    and the gradient w.r.t. its input sequence into `dx` (B, L, E), a view
-    in the direction's processing order."""
-    B, L, _ = cache.x.shape
-    h_dim = cache.c.shape[2]
-    dh_carry = np.zeros((B, h_dim))
-    dc_carry = np.zeros((B, h_dim))
-    W, U = params[f"{side}.W"], params[f"{side}.U"]
-    dW, dU, db = grads[f"{side}.W"], grads[f"{side}.U"], grads[f"{side}.b"]
+) -> np.ndarray:
+    """BPTT for direction `side`, whose half of H and of dH are `H_dir` and
+    `dH_dir`. Sets its parameter gradients in `grads` and returns the
+    gradient w.r.t. the cells' inputs, (cells, E)."""
+    steps, gates = cache.steps, cache.gates[side]
+    B, L, h_dim = H_dir.shape
+    # each cell's (h, c) before its update, rebuilt in visiting order; c
+    # takes the forward pass's expression, so it has its values bit for bit
+    h_prev, c_prev = np.empty((2, len(gates), h_dim))
+    h, c = np.zeros((2, B, h_dim))
+    for t in positions(side, L):
+        n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
+        h_prev[rows], c_prev[rows] = h[:n], c[:n]
+        i, f, g = (gates[rows, k * h_dim : (k + 1) * h_dim] for k in (0, 1, 3))
+        h[:n], c[:n] = H_dir[:n, t], f * c[:n] + i * g
 
-    for s in range(L - 1, -1, -1):
-        # only the first n rows had a token at step s; the others' carries
-        # pass through as they are
-        n = cache.steps[s + 1] - cache.steps[s]
-        h_prev = cache.h[:n, s - 1] if s > 0 else np.zeros((n, h_dim))
-        c_prev = cache.c[:n, s - 1] if s > 0 else np.zeros((n, h_dim))
-
-        dh_tilde = dH_dir[:n, s] + dh_carry[:n]
-        gates = cache.gates[cache.steps[s] : cache.steps[s + 1]]
-        i, f, o, g = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        tanh_c = np.tanh(cache.c[:n, s])
+    da = np.empty_like(gates)
+    dh_carry, dc_carry = np.zeros((2, B, h_dim))
+    U = params[f"{side}.U"]
+    for t in reversed(positions(side, L)):
+        # only the first n rows had a token at t; the others' carries pass
+        # through as they are
+        n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
+        i, f, o, g = (gates[rows, k * h_dim : (k + 1) * h_dim] for k in range(4))
+        dh_tilde = dH_dir[:n, t] + dh_carry[:n]
+        tanh_c = np.tanh(f * c_prev[rows] + i * g)
         dc_tilde = dc_carry[:n] + dh_tilde * o * (1.0 - tanh_c ** 2)
 
         # gradients of the gate pre-activations: through sigma for i, f, o
         # and through tanh for g
-        da = np.concatenate([dc_tilde * g * i * (1.0 - i),
-                             dc_tilde * c_prev * f * (1.0 - f),
-                             dh_tilde * tanh_c * o * (1.0 - o),
-                             dc_tilde * i * (1.0 - g ** 2)], axis=1)
-
-        dW += da.T @ cache.x[:n, s]
-        dU += da.T @ h_prev
-        db += da.sum(axis=0)
-        dx[:n, s] += da @ W
-        dh_carry[:n] = da @ U
+        da[rows] = np.concatenate([dc_tilde * g * i * (1.0 - i),
+                                   dc_tilde * c_prev[rows] * f * (1.0 - f),
+                                   dh_tilde * tanh_c * o * (1.0 - o),
+                                   dc_tilde * i * (1.0 - g ** 2)], axis=1)
+        dh_carry[:n] = da[rows] @ U
         dc_carry[:n] = dc_tilde * f
+
+    grads[f"{side}.W"] = da.T @ cache.x
+    grads[f"{side}.U"] = da.T @ h_prev
+    grads[f"{side}.b"] = da.sum(axis=0)
+    return da @ params[f"{side}.W"]
 
 
 def backward(
@@ -111,11 +119,7 @@ def backward(
     dH += dpre @ params["attn.W_a"]
 
     # split the concatenated states and run BPTT per direction
-    h_dim = model.dims.hidden
-    dx = np.zeros_like(cache.embedded)
-    _direction_backward(params, "fwd", cache.fwd, dH[:, :, :h_dim], grads, dx)
-    _direction_backward(params, "bwd", cache.bwd, dH[:, ::-1, h_dim:], grads, dx[:, ::-1])
-
-    real = batch.mask > 0
-    np.add.at(grads["embedding"], batch.ids[real], dx[real])
+    dx = sum(_direction_backward(params, side, cache, H_dir, dH_dir, grads)
+             for (side, H_dir), (_, dH_dir) in zip(halves(H), halves(dH)))
+    np.add.at(grads["embedding"], batch.ids.T[batch.mask.T > 0.0], dx)
     return grads

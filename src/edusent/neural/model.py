@@ -1,17 +1,19 @@
 """Bidirectional LSTM with additive attention, built directly on numpy.
 
-`forward` caches every intermediate the hand-written backward pass in
-`backprop` needs. Inference (`batch_probs`, and through it
-`predict_sequences`) runs the same steps without a cache: each direction
-keeps only its current (h, c) and the output rows attention reads.
+`forward` caches what the hand-written backward pass in `backprop` needs.
+Inference (`batch_probs`, and through it `predict_sequences`) runs the
+same steps and keeps only the hidden states attention reads.
 All math is float64 and deterministic.
 
 Both passes put a batch's rows in length order, longest first, so the rows
-that still have a token at a step are a prefix of the batch. Each LSTM step
-updates only that prefix; a row whose tokens have ended (or, for the
-backward direction, not yet begun) keeps its (h, c), and its padded
-positions get zero output rows without any work. Only the B-length
-probabilities are put back in the caller's row order.
+that have a token at a position are a prefix of the batch. A batch's real
+positions, its cells, are listed once, position-major, and only they are
+embedded. Both directions step that one list, `fwd` from the first
+position to the last and `bwd` from the last to the first, and each step
+updates only its prefix of rows; a row whose tokens have ended (or, for
+`bwd`, not yet begun) keeps its (h, c), and its padded positions get zero
+output rows without any work. Only the B-length probabilities are put
+back in the caller's row order.
 
 Architecture: trainable embedding (row 0 pinned to zeros for padding),
 one LSTM per direction, additive (tanh) attention over the concatenated
@@ -23,7 +25,7 @@ dict, `RnnModel.params`, keyed by the names the model file uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,12 +135,12 @@ def parameter_shapes(dims: RnnDims) -> dict:
     }
 
 
-def embed(model: RnnModel, batch: TokenBatch) -> np.ndarray:
-    """Row lookup, (batch, max_len, embed_dim); pads hit the pinned zero row."""
+def embed(model: RnnModel, ids: np.ndarray) -> np.ndarray:
+    """Row lookup, ids.shape + (embed_dim,); pads hit the pinned zero row."""
     table = model.params["embedding"]
-    if np.any(batch.ids < 0) or np.any(batch.ids >= table.shape[0]):
+    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
         raise ValidationError(f"token id outside embedding table of {table.shape[0]} rows")
-    return table[batch.ids]
+    return table[ids]
 
 
 def lstm_step(
@@ -155,11 +157,10 @@ def lstm_step(
     where gates holds sigma(i), sigma(f), sigma(o), tanh(g) side by side.
     """
     try:
-        a = xw_t + h_prev @ params[f"{side}.U"].T + params[f"{side}.b"]
+        gates = xw_t + h_prev @ params[f"{side}.U"].T + params[f"{side}.b"]
         n = h_prev.shape[-1]
-        gates = np.empty_like(a)
-        gates[..., : 3 * n] = sigmoid(a[..., : 3 * n])
-        gates[..., 3 * n :] = np.tanh(a[..., 3 * n :])
+        gates[..., : 3 * n] = sigmoid(gates[..., : 3 * n])
+        np.tanh(gates[..., 3 * n :], out=gates[..., 3 * n :])
         i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
         c_t = f * c_prev + i * g
     except ValueError as exc:
@@ -169,28 +170,18 @@ def lstm_step(
 
 
 @dataclass
-class DirectionCache:
-    """Per-timestep values of one direction, in processing order, for rows
-    in length order. Step s updates the first steps[s + 1] - steps[s] rows;
-    `gates` holds exactly those rows, step after step."""
-
-    x: np.ndarray  # (B, L, E) inputs as consumed (reversed for the backward cell)
-    steps: np.ndarray  # (L + 1,) step s has rows steps[s]:steps[s + 1] of gates
-    gates: np.ndarray  # (real positions, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
-    h: np.ndarray  # (B, L, hidden) hidden state, the direction's half of H
-    c: np.ndarray  # (B, L, hidden) cell state, zero where a row has not begun
-
-
-@dataclass
 class ForwardCache:
     """Every array is in length order (`batch` is the caller's batch
-    reordered by `order`) except `probs`, which is in the caller's order."""
+    reordered by `order`) except `probs`, which is in the caller's order.
+
+    The batch's real positions are its cells, listed position-major:
+    position t holds cells steps[t]:steps[t + 1], rows 0 ... n_t - 1."""
 
     batch: TokenBatch
     order: np.ndarray  # (B,) caller row of each length-ordered row
-    embedded: np.ndarray
-    fwd: DirectionCache
-    bwd: DirectionCache
+    steps: np.ndarray  # (L + 1,) cell offset of each position
+    x: np.ndarray  # (cells, E) embedded cells
+    gates: dict  # side -> (cells, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
     H: np.ndarray  # (B, L, 2 * hidden), zero rows at masked positions
     u: np.ndarray  # tanh(W_a . h), (B, L, attn_dim)
     alphas: np.ndarray  # (B, L)
@@ -199,57 +190,49 @@ class ForwardCache:
     probs: np.ndarray  # (B,)
 
 
-def _run_direction(params: dict, side: str, x: np.ndarray, mask: np.ndarray,
-                   out: np.ndarray, cache: bool = True) -> Optional[DirectionCache]:
-    """Run direction `side` over already time-ordered inputs, writing each
-    step's hidden state into `out` (B, L, hidden), a zeroed view of H.
+def positions(side: str, length: int) -> range:
+    """The order in which direction `side` visits a batch's positions."""
+    return range(length) if side == "fwd" else range(length - 1, -1, -1)
 
-    The rows with a token at a step must be a prefix of the batch: rows in
-    length order, longest first, padded after (forward) or before (reversed)
-    their tokens. A step updates only that prefix; every other row keeps its
-    (h, c) state, and its output row stays zero, so padding never alters real
-    positions. With `cache` off only the current (h, c) is kept and None is
-    returned.
+
+def halves(H: np.ndarray):
+    """(side, view) for each direction's half of the last axis of `H`."""
+    h = H.shape[2] // 2
+    return (("fwd", H[:, :, :h]), ("bwd", H[:, :, h:]))
+
+
+def _cells(model: RnnModel, batch: TokenBatch):
+    """(order, batch in length order, steps, x): the embedded real positions
+    of the reordered batch, position-major, and the (L + 1,) offset of each
+    position's cells."""
+    order, batch = batch.in_length_order()
+    real = batch.mask.T > 0.0
+    steps = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
+    return order, batch, steps, embed(model, batch.ids.T[real])
+
+
+def _run_direction(params: dict, side: str, x: np.ndarray, steps: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Run direction `side` over the cells `x`, writing each step's hidden
+    state into `out` (B, L, hidden), a zeroed view of H, at the cell's own
+    position. Returns the cells' (cells, 4h) gates.
+
+    Position t updates only rows 0 ... n_t - 1, the rows that have a token
+    there. `fwd` visits t = 0 ... L - 1, so a row stops at its last token;
+    `bwd` visits t = L - 1 ... 0, so a row joins at its last token, from
+    zero state. Every other row keeps its (h, c), and its output row stays
+    zero, so padding never alters real positions.
     """
-    B, L, _ = x.shape
-    h_dim = out.shape[2]
-    steps = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=0))))
-    # the input projection of every real position in one GEMM, in step order;
-    # with a cache, each step then overwrites its rows with the activations
-    gates_all = x.transpose(1, 0, 2)[mask.T > 0.0] @ params[f"{side}.W"].T
-    if cache:
-        c_all = np.zeros((B, L, h_dim))  # backprop reads c before a row's first token as 0
-    h = np.zeros((B, h_dim))
-    c = np.zeros((B, h_dim))
-    for s in range(L):
-        n = steps[s + 1] - steps[s]
-        rows = slice(steps[s], steps[s + 1])
-        h[:n], c[:n], gates = lstm_step(gates_all[rows], h[:n], c[:n], params, side)
-        out[:n, s] = h[:n]
-        if cache:
-            gates_all[rows] = gates
-            c_all[:n, s] = c[:n]
-    if not cache:
-        return None
-    return DirectionCache(x=x, steps=steps, gates=gates_all, h=out, c=c_all)
-
-
-def bilstm(model: RnnModel, embedded: np.ndarray, mask: np.ndarray, cache: bool = True):
-    """Concatenated per-position hidden states, (B, L, 2 * hidden).
-
-    Rows must be in length order, longest first (`TokenBatch.in_length_order`).
-    Returns (H, fwd_cache, bwd_cache); masked positions are zero rows. With
-    `cache` off both caches are None.
-    """
-    if np.any(np.diff(np.count_nonzero(mask, axis=1)) > 0):
-        raise ValidationError("bilstm needs rows in length order, longest first")
-    B, L, _ = embedded.shape
-    h_dim = model.dims.hidden
-    H = np.zeros((B, L, 2 * h_dim))
-    fwd = _run_direction(model.params, "fwd", embedded, mask, H[:, :, :h_dim], cache)
-    bwd = _run_direction(model.params, "bwd", embedded[:, ::-1], mask[:, ::-1],
-                         H[:, ::-1, h_dim:], cache)
-    return H, fwd, bwd
+    h = np.zeros((out.shape[0], out.shape[2]))
+    c = np.zeros_like(h)
+    # the input projection of every cell in one GEMM; each step then
+    # overwrites its cells' rows with the activations
+    gates = x @ params[f"{side}.W"].T
+    for t in positions(side, out.shape[1]):
+        n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
+        h[:n], c[:n], gates[rows] = lstm_step(gates[rows], h[:n], c[:n], params, side)
+        out[:n, t] = h[:n]
+    return gates
 
 
 def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
@@ -273,22 +256,24 @@ def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
 def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
     """Full forward pass over the rows in length order; the returned cache
     feeds `backprop.backward`, and its `probs` are in the caller's order."""
-    order, batch = batch.in_length_order()
-    embedded = embed(model, batch)
-    H, fwd, bwd = bilstm(model, embedded, batch.mask)
+    order, batch, steps, x = _cells(model, batch)
+    H = np.zeros(batch.ids.shape + (2 * model.dims.hidden,))
+    gates = {side: _run_direction(model.params, side, x, steps, out) for side, out in halves(H)}
     context, alphas, u = attention(model, H, batch.mask)
     logits = context @ model.params["out.w"] + model.params["out.b"]
     probs = np.empty_like(logits)
     probs[order] = sigmoid(logits)
-    return ForwardCache(batch=batch, order=order, embedded=embedded, fwd=fwd, bwd=bwd,
-                        H=H, u=u, alphas=alphas, context=context, logits=logits,
-                        probs=probs)
+    return ForwardCache(batch=batch, order=order, steps=steps, x=x, gates=gates, H=H, u=u,
+                        alphas=alphas, context=context, logits=logits, probs=probs)
 
 
 def batch_probs(model: RnnModel, batch: TokenBatch) -> np.ndarray:
-    """`forward(model, batch).probs`, bit for bit, without building a cache."""
-    order, batch = batch.in_length_order()
-    H, _, _ = bilstm(model, embed(model, batch), batch.mask, cache=False)
+    """`forward(model, batch).probs`, bit for bit, keeping only H: each
+    side's gates are dropped as soon as that side has run."""
+    order, batch, steps, x = _cells(model, batch)
+    H = np.zeros(batch.ids.shape + (2 * model.dims.hidden,))
+    for side, out in halves(H):
+        _run_direction(model.params, side, x, steps, out)
     context, _, _ = attention(model, H, batch.mask)
     probs = np.empty(len(order))
     probs[order] = sigmoid(context @ model.params["out.w"] + model.params["out.b"])

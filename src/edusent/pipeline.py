@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .config import PipelineConfig, column_schema
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, read_utf8
 from .features import (
     Csr,
     TfidfModel,
@@ -325,8 +325,8 @@ _PARSE_BLOCK = 512
 def _read_examples(path: Path) -> list:
     examples = []
     line_no = 0
-    try:  # ValueError: JSON or UTF-8
-        lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
+    try:
         for start in range(0, len(lines), _PARSE_BLOCK):
             block = lines[start : start + _PARSE_BLOCK]
             try:

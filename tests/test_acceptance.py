@@ -45,11 +45,8 @@ from edusent.neural import (
     NeuralTrainConfig,
     RnnDims,
     SequenceDataset,
-    attention,
     backward,
-    bilstm,
     build_batch,
-    embed,
     forward,
     init_model,
     predict_sequences,
@@ -281,8 +278,7 @@ def test_criterion_7_invariant_suites():
         dims = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
         model = init_model(dims, seed=2)
         batch = build_batch([[1, 2, 3, 4], [5, 6]], [1.0, 0.0], dims.max_len)
-        H, _, _ = bilstm(model, embed(model, batch), batch.mask)
-        _, alphas, _ = attention(model, H, batch.mask)
+        alphas = forward(model, batch).alphas
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(alphas[1, 2:], 0.0)
         assert np.all(alphas >= 0.0)

@@ -152,11 +152,16 @@ class TestExamplesFile:
         message = str(info.value)
         assert message.startswith(f"{path} is malformed at line {line_no}: {error}")
 
-    def test_not_utf8_is_line_zero(self, bundle_dir):
+    def test_not_utf8_names_the_byte(self, bundle_dir, capsys):
         path = bundle_dir / "examples.jsonl"
-        path.write_bytes(b"\xff" + path.read_bytes())
-        with pytest.raises(SchemaError, match=r"malformed at line 0: UnicodeDecodeError\("):
+        text = path.read_bytes()
+        path.write_bytes(text[:100] + b"\xff" + text[100:])
+        with pytest.raises(SchemaError) as info:
             load_bundle(bundle_dir)
+        assert str(info.value) == f"{path} is not UTF-8 text: invalid start byte at byte 100"
+        assert main([*TRAIN, "--out", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(info.value) in err and len(err) < len(str(info.value)) + 100
 
     def test_rows_match_a_per_line_parse(self, bundle_dir):
         lines = (bundle_dir / "examples.jsonl").read_text().splitlines()

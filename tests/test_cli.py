@@ -215,6 +215,28 @@ class TestTrain:
                    "--resume", str(trained_dir / "model_logreg.json")])
         assert rc == 0
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind, key, flag", [
+        ("logreg", "lr_learning_rate", "--lr-rate"),
+        ("logreg", "lr_l2", "--lr-l2"),
+        ("rnn", "rnn_learning_rate", "--rnn-rate"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_rate_is_domain_error(self, bundle_dir, capsys, value, kind, key,
+                                             flag, source):
+        if source == "flag":
+            given = [f"{flag}={value}"]
+        else:
+            config = bundle_dir / "rates.cfg"
+            config.write_text(f"{key} = {value}\n")
+            given = ["--config", str(config)]
+        rc = main(["train", kind, "--out", str(bundle_dir), "--lr-epochs", "5",
+                   "--rnn-epochs", "1", "--embed-dim", "4", "--hidden-dim", "4",
+                   "--attn-dim", "4", *given])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (bundle_dir / f"model_{kind}.json").exists()
+
     def test_tiny_validation_carve_out_falls_back(self, bundle_dir, capsys):
         # 10% of 30 training examples is 3 rows: too small to steer early
         # stopping, so training must validate on the training split instead

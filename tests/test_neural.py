@@ -13,7 +13,6 @@ from edusent.neural import (
     attention,
     backward,
     batch_probs,
-    bilstm,
     build_batch,
     dataset_loss,
     embed,
@@ -46,19 +45,19 @@ class TestEmbed:
     def test_padding_row_is_zero(self):
         model = init_model(DIMS, seed=0)
         batch = build_batch([[3, 5], [2]], [1.0, 0.0], DIMS.max_len)
-        out = embed(model, batch)
+        out = embed(model, batch.ids)
         np.testing.assert_array_equal(out[1, 1], np.zeros(DIMS.embed_dim))
 
     def test_lookup_semantics(self):
         model = init_model(DIMS, seed=0)
         batch = build_batch([[4]], [1.0], DIMS.max_len)
-        np.testing.assert_array_equal(embed(model, batch)[0, 0],
+        np.testing.assert_array_equal(embed(model, batch.ids)[0, 0],
                                       model.params["embedding"][4])
 
     def test_identical_rows_identical_slices(self):
         model = init_model(DIMS, seed=0)
         batch = build_batch([[1, 2, 3], [1, 2, 3]], [1.0, 0.0], DIMS.max_len)
-        out = embed(model, batch)
+        out = embed(model, batch.ids)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_id_out_of_range(self):
@@ -66,7 +65,7 @@ class TestEmbed:
         batch = build_batch([[1]], [1.0], DIMS.max_len)
         batch.ids[0, 0] = DIMS.vocab_size + 5
         with pytest.raises(ValidationError):
-            embed(model, batch)
+            embed(model, batch.ids)
 
 
 class TestLstmStep:
@@ -102,8 +101,7 @@ class TestBilstm:
     def test_single_step_matches_lstm_step(self):
         model = init_model(DIMS, seed=2)
         batch = build_batch([[5]], [1.0], DIMS.max_len)
-        embedded = embed(model, batch)
-        H, _, _ = bilstm(model, embedded, batch.mask)
+        H = forward(model, batch).H
         x = model.params["embedding"][5]
         zeros = np.zeros(DIMS.hidden)
         h_f, _ = _step(x, zeros, zeros, model.params, "fwd")
@@ -115,7 +113,7 @@ class TestBilstm:
         for name in "WUb":
             model.params[f"bwd.{name}"] = model.params[f"fwd.{name}"]
         batch = build_batch([[2, 7, 2]], [1.0], DIMS.max_len)
-        H, _, _ = bilstm(model, embed(model, batch), batch.mask)
+        H = forward(model, batch).H
         h = DIMS.hidden
         for t in range(3):
             np.testing.assert_allclose(H[0, t, :h], H[0, 2 - t, h:], atol=1e-12)
@@ -124,16 +122,31 @@ class TestBilstm:
         model = init_model(DIMS, seed=4)
         short = build_batch([[3, 4]], [1.0], DIMS.max_len)
         wide = build_batch([[5, 6, 7, 8], [3, 4]], [0.0, 1.0], DIMS.max_len)
-        H_short, _, _ = bilstm(model, embed(model, short), short.mask)
-        H_wide, _, _ = bilstm(model, embed(model, wide), wide.mask)
+        H_short = forward(model, short).H
+        H_wide = forward(model, wide).H
         np.testing.assert_allclose(H_wide[1, :2], H_short[0, :2], atol=1e-14)
         np.testing.assert_array_equal(H_wide[1, 2:], 0.0)
 
-    def test_rows_out_of_length_order_rejected(self):
+    def test_mixed_lengths_match_a_per_row_loop(self):
+        """Each row of H equals lstm_step run over that row's tokens alone,
+        forward and reversed; the `bwd` half starts each row at its last
+        token from zero state. Not bit for bit: BLAS rounds a one-row
+        product differently from a product over several rows."""
         model = init_model(DIMS, seed=4)
-        batch = build_batch([[3, 4], [5, 6, 7, 8]], [1.0, 0.0], DIMS.max_len)
-        with pytest.raises(ValidationError, match="length order"):
-            bilstm(model, embed(model, batch), batch.mask)
+        seqs = [[3, 4, 1, 9, 2, 5], [6, 1], [8, 2, 7, 4], [5], [2, 9, 3, 3]]
+        cache = forward(model, build_batch(seqs, np.zeros(len(seqs)), DIMS.max_len))
+        assert cache.order.tolist() == [0, 2, 4, 1, 3]  # H is in length order
+        h = DIMS.hidden
+        for row, seq in enumerate(seqs[r] for r in cache.order):
+            for k, (side, ts) in enumerate([("fwd", range(len(seq))),
+                                            ("bwd", range(len(seq) - 1, -1, -1))]):
+                xw = model.params["embedding"][seq] @ model.params[f"{side}.W"].T
+                h_t, c_t = np.zeros((1, h)), np.zeros((1, h))
+                for t in ts:
+                    h_t, c_t, _ = lstm_step(xw[t : t + 1], h_t, c_t, model.params, side)
+                    np.testing.assert_allclose(cache.H[row, t, k * h : (k + 1) * h], h_t[0], rtol=0,
+                                               atol=1e-15, err_msg=f"{row} {t} {side}")
+            np.testing.assert_array_equal(cache.H[row, len(seq) :], 0.0)
 
 
 class TestAttention:
@@ -157,8 +170,7 @@ class TestAttention:
     def test_rows_sum_to_one_and_masked_zero(self):
         model = init_model(DIMS, seed=6)
         batch = build_batch([[1, 2, 3, 4], [5, 6]], [1.0, 0.0], DIMS.max_len)
-        H, _, _ = bilstm(model, embed(model, batch), batch.mask)
-        _, alphas, _ = attention(model, H, batch.mask)
+        alphas = forward(model, batch).alphas
         np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(alphas >= 0.0)
         np.testing.assert_array_equal(alphas[1, 2:], 0.0)
@@ -283,18 +295,18 @@ class TestInference:
     def test_predict_sequences_without_rows(self):
         assert predict_sequences(_scoring_model(), []).shape == (0,)
 
-    def test_inference_builds_no_direction_cache(self, monkeypatch):
+    def test_inference_builds_no_forward_cache(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("inference built a DirectionCache")
+            raise AssertionError("inference built a ForwardCache")
 
         model = _scoring_model()
-        monkeypatch.setattr(model_module, "DirectionCache", refuse)
+        monkeypatch.setattr(model_module, "ForwardCache", refuse)
         seqs = [s for s in self.SEQUENCES if s]
         probs = predict_sequences(model, seqs, chunk=4)
         assert probs.shape == (len(seqs),)
         ds = SequenceDataset(seqs, np.arange(len(seqs)) % 2)
         assert np.isfinite(dataset_loss(model, ds, NeuralTrainConfig()))
-        with pytest.raises(AssertionError, match="DirectionCache"):
+        with pytest.raises(AssertionError, match="ForwardCache"):
             forward(model, build_batch(seqs, np.zeros(len(seqs)), DIMS.max_len))
 
 
