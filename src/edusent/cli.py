@@ -9,7 +9,6 @@ success, 1 for domain/validation errors, 2 for IO/schema errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -47,7 +46,9 @@ from .pipeline import (
     save_rnn_model,
     tfidf_rows,
     sequence_data,
+    write_csv,
     write_json,
+    write_text,
 )
 from .resample import SmoteConfig, balance_sparse, class_weights
 from .svgplot import confusion_matrix_svg, roc_curve_svg, sensitivity_bars_svg
@@ -75,13 +76,6 @@ def cmd_prepare(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_train(cfg: PipelineConfig, args) -> int:
     bundle = load_bundle(cfg.out)
     out = Path(cfg.out)
@@ -106,8 +100,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         )
         model_path = out / "model_logreg.json"
         save_linear_model(result.model, model_path, bundle.vocab_ref)
-        _write_csv(out / "train_log_logreg.csv", ["epoch", "loss"],
-                   [[e, repr(loss)] for e, loss in enumerate(result.loss_history)])
+        write_csv(out / "train_log_logreg.csv", ["epoch", "loss"],
+                  [[e, repr(loss)] for e, loss in enumerate(result.loss_history)])
         print(f"logreg model written to {model_path} "
               f"(final loss {result.loss_history[-1]:.6f})")
         return 0
@@ -147,7 +141,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     rows = [[0, repr(result.initial_loss), ""]]
     rows += [[e + 1, repr(loss), repr(f1)]
              for e, (loss, f1) in enumerate(zip(result.epoch_losses, result.val_f1s))]
-    _write_csv(out / "train_log_rnn.csv", ["epoch", "loss", "val_f1"], rows)
+    write_csv(out / "train_log_rnn.csv", ["epoch", "loss", "val_f1"], rows)
     print(f"rnn model written to {model_path} "
           f"(best epoch {result.best_epoch + 1}, val F1 {max(result.val_f1s):.4f})")
     return 0
@@ -179,11 +173,9 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     if not cfg.no_plots:
         cm = ConfusionMatrix(**report["confusion"])
         curve = RocCurve(points=[tuple(p) for p in report["roc"]], auc=report["auc"])
-        (out / f"roc_{kind}.svg").write_text(
-            roc_curve_svg(curve, f"ROC, {kind} model"), encoding="utf-8")
-        (out / f"confusion_{kind}.svg").write_text(
-            confusion_matrix_svg(cm, f"Confusion matrix, {kind} model"),
-            encoding="utf-8")
+        write_text(out / f"roc_{kind}.svg", roc_curve_svg(curve, f"ROC, {kind} model"))
+        write_text(out / f"confusion_{kind}.svg",
+                   confusion_matrix_svg(cm, f"Confusion matrix, {kind} model"))
     m = report["metrics"]
     print(f"{kind}: accuracy={m['accuracy']:.4f} precision={m['precision']:.4f} "
           f"recall={m['recall']:.4f} f1={m['f1']:.4f} auc={report['auc']:.4f}")
@@ -249,12 +241,11 @@ def cmd_sensitivity(cfg: PipelineConfig, args) -> int:
         rows.append((sid, sentence, lr_p, rnn_p))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sensitivity.csv",
-               ["sentence_id", "text", "lr_prob_positive", "rnn_prob_positive"],
-               [[sid, text, repr(lr_p), repr(rnn_p)] for sid, text, lr_p, rnn_p in rows])
+    write_csv(out / "sensitivity.csv",
+              ["sentence_id", "text", "lr_prob_positive", "rnn_prob_positive"],
+              [[sid, text, repr(lr_p), repr(rnn_p)] for sid, text, lr_p, rnn_p in rows])
     if not cfg.no_plots:
-        (out / "sensitivity.svg").write_text(
-            sensitivity_bars_svg(rows), encoding="utf-8")
+        write_text(out / "sensitivity.svg", sensitivity_bars_svg(rows))
     for sid, text, lr_p, rnn_p in rows:
         print(f"{sid}\tLR={lr_p:.4f}\tRNN={rnn_p:.4f}\t{text}")
     return 0

@@ -7,14 +7,18 @@ balance report, and the drop report). Training and evaluation read the
 bundle back and bind models to the vocabulary file's SHA-256 so stale
 model/vocabulary pairs are rejected.
 
-Only this module knows the file formats. Each JSON file is written whole
-or not at all (`write_json`) and checked when read (`read_json`, `_array`):
-a malformed file is a SchemaError that names it.
+Only this module knows the file formats. Every output file is written
+whole or not at all (`_write_atomic`, under `write_json`, `write_csv` and
+`write_text`), and each JSON file is checked when read (`read_json`,
+`_array`): a malformed file is a SchemaError that names it.
 """
 
 from __future__ import annotations
 
+import base64
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -72,12 +76,13 @@ def file_sha256(path: Union[str, Path]) -> str:
 
 
 def _write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
-    """Stream `chunks` into a temporary file beside `path`, then move it over
-    `path`: a reader sees the old file or the whole new one, never a part."""
+    """Stream `chunks` (as given: no newline translation) into a temporary
+    file beside `path`, then move it over `path`: a reader sees the old file
+    or the whole new one, never a part."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -90,16 +95,31 @@ def write_json(path: Union[str, Path], payload: dict) -> None:
     _write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2), "\n"))
 
 
-def read_json(path: Union[str, Path]) -> dict:
-    """Parse a JSON file that edusent wrote: an object with "version": 1."""
+def write_text(path: Union[str, Path], text: str) -> None:
+    _write_atomic(path, (text,))
+
+
+def write_csv(path: Union[str, Path], header: list, rows: list) -> None:
+    """`header`, then `rows`, as `csv.writer` formats them (CRLF line ends)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buf.getvalue())
+
+
+def read_json(path: Union[str, Path], versions: tuple = (1,)) -> dict:
+    """Parse a JSON file that edusent wrote: an object whose "version" is one
+    of `versions`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"missing file: {path}") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != 1:
-        raise SchemaError(f"{path} is not a version-1 edusent JSON object")
+    if not isinstance(payload, dict) or payload.get("version") not in versions:
+        names = " or ".join(map(str, versions))
+        raise SchemaError(f"{path} is not a version-{names} edusent JSON object")
     return payload
 
 
@@ -161,21 +181,45 @@ def _file_blocks(name: str, shape: tuple) -> list:
     return [(name, shape)]
 
 
-def _file_entries(model: RnnModel):
-    for name, p in model.params.items():
-        blocks = _file_blocks(name, p.shape)
-        for (file_name, shape), flat in zip(blocks, p.reshape(len(blocks), -1)):
-            yield file_name, [list(shape), flat.tolist()]
-
-
 def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
+    """Write a version-2 model file: each parameter under its own name as
+    [shape, base64 of its little-endian float64 bytes]."""
     write_json(path, {
-        "version": 1,
+        "version": 2,
         "kind": "rnn",
         "dims": asdict(model.dims),
-        "tensors": dict(_file_entries(model)),
+        "tensors": {
+            name: [list(p.shape),
+                   base64.b64encode(np.ascontiguousarray(p, "<f8").tobytes()).decode("ascii")]
+            for name, p in model.params.items()},
         "vocab_ref": vocab_ref,
     })
+
+
+def _tensor_entry(tensors: dict, name: str, shape: tuple, path):
+    """The data of `tensors[name]` once its stored shape is `shape`: shapes
+    are checked before anything is allocated from them."""
+    entry = tensors.get(name)
+    if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == list(shape)):
+        raise SchemaError(f"{path} lacks a {list(shape)} tensor {name!r}")
+    return entry[1]
+
+
+def _decoded(data, what: str, shape: tuple) -> np.ndarray:
+    """A version-2 tensor: base64 of exactly prod(`shape`) finite
+    little-endian float64 values, as an owned, writable C-ordered array."""
+    if not isinstance(data, str):
+        raise SchemaError(f"{what} holds a {type(data).__name__}, not base64 text")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise SchemaError(f"{what} is not base64 text: {exc}") from exc
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise SchemaError(f"{what} holds {len(raw)} bytes, not the {8 * size} "
+                          f"of {size} float64 values")
+    # frombuffer views the read-only bytes; the copy is what training updates
+    return _array(np.frombuffer(raw, "<f8").reshape(shape), what, shape).copy()
 
 
 def _rnn_model(payload: dict, path) -> RnnModel:
@@ -188,37 +232,37 @@ def _rnn_model(payload: dict, path) -> RnnModel:
     if not isinstance(tensors, dict):
         raise SchemaError(f"{path}: tensors are not an object")
     dims = RnnDims(**dims)
-    # every stored shape must match `dims` before an array is allocated
     arrays = {}
     for name, shape in parameter_shapes(dims).items():
-        blocks = []
-        for file_name, block_shape in _file_blocks(name, shape):
-            entry = tensors.get(file_name)
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and entry[0] == list(block_shape)):
-                raise SchemaError(f"{path} lacks a {list(block_shape)} tensor {file_name!r}")
-            blocks.append(_array(entry[1], f"{path}: tensor {file_name!r}",
-                                 (math.prod(block_shape),)))
-        arrays[name] = np.concatenate(blocks).reshape(shape)
+        if payload["version"] == 2:
+            arrays[name] = _decoded(_tensor_entry(tensors, name, shape, path),
+                                    f"{path}: tensor {name!r}", shape)
+        else:  # decimal lists, a fused gate tensor split into its row blocks
+            blocks = [_array(_tensor_entry(tensors, file_name, block_shape, path),
+                             f"{path}: tensor {file_name!r}", (math.prod(block_shape),))
+                      for file_name, block_shape in _file_blocks(name, shape)]
+            arrays[name] = np.concatenate(blocks).reshape(shape)
     return RnnModel(dims, arrays)
 
 
 def load_model(path: Union[str, Path]) -> tuple:
-    """Parse a model file once and build the model its `kind` names.
+    """Parse a model file once and build the model its `kind` names: a
+    version-1 logreg file, or a version-1 or version-2 rnn file.
 
     Returns (kind, model, vocab_ref).
     """
-    payload = read_json(path)
+    payload = read_json(path, versions=(1, 2))
     kind = payload.get("kind")
-    if kind == "logreg":
+    if kind == "rnn":
+        model = _rnn_model(payload, path)
+    elif kind == "logreg" and payload["version"] == 1:
         model = LinearModel(
             weights=_array(payload.get("weights"), f"{path}: weights", (None,)),
             bias=float(_array(payload.get("bias"), f"{path}: bias", ())),
         )
-    elif kind == "rnn":
-        model = _rnn_model(payload, path)
     else:
-        raise SchemaError(f"{path} has unknown model kind {kind!r}")
+        raise SchemaError(f"{path} has unknown model kind {kind!r} "
+                          f"for version {payload['version']}")
     return kind, model, str(payload.get("vocab_ref", ""))
 
 
@@ -283,10 +327,8 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
 
     order = sorted(range(len(vocab_full)),
                    key=lambda i: (-scores.score[i], vocab_full.terms[i]))
-    with (out / "chi2_report.csv").open("w", encoding="utf-8") as fh:
-        fh.write("term,score\n")
-        for i in order:
-            fh.write(f"{vocab_full.terms[i]},{float(scores.score[i])!r}\n")
+    _write_atomic(out / "chi2_report.csv", ("term,score\n", *(
+        f"{vocab_full.terms[i]},{float(scores.score[i])!r}\n" for i in order)))
 
     write_json(out / "split.json", {
         "version": 1, "seed": cfg.seed, "fraction": cfg.fraction,

@@ -88,6 +88,8 @@ def _argv(root: Path, argv: list) -> list:
 TRAIN = ["train", "logreg", "--lr-epochs", "5"]
 PREDICT_LR = ["predict", "--model", "@model_logreg.json", TEXT]
 EVALUATE_LR = ["evaluate", "--no-plots", "--model", "@model_logreg.json"]
+SENSITIVITY = ["sensitivity", "--lr-model", "@model_logreg.json",
+               "--rnn-model", "@model_rnn.json"]
 
 
 class TestMalformedArtifact:
@@ -194,10 +196,13 @@ class _FullDisk:
 
 
 class TestAtomicWrite:
-    def _fill_disk_after(self, monkeypatch, room: int) -> None:
-        monkeypatch.setattr(edusent.pipeline, "open",
-                            lambda file, mode="r", **kw: _FullDisk(open(file, mode, **kw), room),
-                            raising=False)
+    def _fill_disk_after(self, monkeypatch, room: int, name: str = "") -> None:
+        """The disk fills once `room` characters are written to the temporary
+        file of `name`, or of any file when `name` is empty."""
+        def limited(file, mode="r", **kw):
+            hit = not name or Path(file).name.startswith(f".{name}.")
+            return _FullDisk(open(file, mode, **kw), room if hit else 10**9)
+        monkeypatch.setattr(edusent.pipeline, "open", limited, raising=False)
 
     def test_write_json_keeps_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "report.json"
@@ -217,6 +222,27 @@ class TestAtomicWrite:
                      "--k", "400", "--seed", "7"]) == 2
         assert (bundle_dir / "examples.jsonl").read_bytes() == old
         assert sorted(p.name for p in bundle_dir.iterdir()) == sorted(BUNDLE_FILES)
+
+    @pytest.mark.parametrize("name, argv", [
+        ("chi2_report.csv", ["prepare", "--data", "@sample.csv", "--k", "400"]),
+        ("train_log_logreg.csv", TRAIN),
+        ("train_log_rnn.csv", ["train", "rnn", "--rnn-epochs", "1", "--embed-dim", "4",
+                               "--hidden-dim", "3", "--attn-dim", "3"]),
+        ("roc_logreg.svg", ["evaluate", "--model", "@model_logreg.json"]),
+        ("confusion_logreg.svg", ["evaluate", "--model", "@model_logreg.json"]),
+        ("sensitivity.csv", SENSITIVITY),
+        ("sensitivity.svg", SENSITIVITY),
+    ])
+    def test_interrupted_output_keeps_old_file(self, bundle_dir, sample_csv, monkeypatch,
+                                               name, argv):
+        _write_models(bundle_dir)
+        shutil.copyfile(sample_csv, bundle_dir / "sample.csv")
+        target = bundle_dir / name
+        target.write_bytes(b"old\n")
+        self._fill_disk_after(monkeypatch, 3, name)
+        assert main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)]) == 2
+        assert target.read_bytes() == b"old\n"
+        assert not [p.name for p in bundle_dir.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_sample_files_resave_byte_identical(bundle_dir, tmp_path):

@@ -1,7 +1,12 @@
+import base64
 import json
+import math
+import shutil
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edusent.cli
@@ -10,7 +15,7 @@ from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.config import build_config
 from edusent.features import build_vocabulary, chi2_scores, presence_sets
 from edusent.neural import RnnDims, init_model
-from edusent.pipeline import BUNDLE_FILES, load_bundle, save_rnn_model
+from edusent.pipeline import BUNDLE_FILES, load_bundle, load_model, save_rnn_model
 
 FAST_RNN = ["--rnn-epochs", "6", "--embed-dim", "8", "--hidden-dim", "8",
             "--attn-dim", "6", "--rnn-rate", "0.01", "--patience", "0",
@@ -215,6 +220,23 @@ class TestTrain:
                    "--resume", str(trained_dir / "model_logreg.json")])
         assert rc == 0
 
+    def test_resume_rnn_from_version_2_file(self, trained_dir, tmp_path):
+        start = tmp_path / "start.json"
+        shutil.copyfile(trained_dir / "model_rnn.json", start)
+        assert json.loads(start.read_text())["version"] == 2
+        _, model, _ = load_model(start)
+        for name, p in model.params.items():
+            assert p.dtype == np.float64, name
+            assert p.flags.owndata and p.flags.writeable and p.flags.c_contiguous, name
+        resumed = []
+        for _ in range(2):
+            assert main(["train", "rnn", "--out", str(trained_dir), "--seed", "7",
+                         "--rnn-epochs", "2", "--patience", "0",
+                         "--resume", str(start)]) == 0
+            resumed.append((trained_dir / "model_rnn.json").read_bytes())
+        assert resumed[0] == resumed[1]
+        assert resumed[0] != start.read_bytes()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("kind, key, flag", [
         ("logreg", "lr_learning_rate", "--lr-rate"),
@@ -329,12 +351,12 @@ def _untrained_rnn_file(bundle_dir) -> Path:
     return path
 
 
-def _drop_last_value(payload):
-    payload["tensors"]["fwd.U_g"][1].pop()
-
-
-def _nan_weight(payload):
-    payload["tensors"]["out.w"][1][0] = float("nan")
+def _tensor_bytes(name, edit):
+    """Replace the stored bytes of tensor `name` with `edit(bytes)`."""
+    def corrupt(payload):
+        entry = payload["tensors"][name]
+        entry[1] = base64.b64encode(edit(base64.b64decode(entry[1]))).decode("ascii")
+    return corrupt
 
 
 def _huge_vocab(payload):
@@ -346,11 +368,17 @@ class TestMalformedRnnModel:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("corrupt", [
         lambda p: p.pop("tensors"),
-        _drop_last_value,
+        lambda p: p["tensors"].pop("fwd.U"),
+        _tensor_bytes("fwd.U", lambda raw: raw[:-8]),
         lambda p: p["dims"].pop("hidden"),
-        _nan_weight,
+        _tensor_bytes("out.w", lambda raw: struct.pack("<d", math.nan) + raw[8:]),
+        _tensor_bytes("out.w", lambda raw: struct.pack("<d", math.inf) + raw[8:]),
+        lambda p: p["tensors"]["out.w"].__setitem__(1, "****"),
+        lambda p: p["tensors"]["out.w"].__setitem__(1, [0.0] * 6),
+        lambda p: p["tensors"]["attn.W_a"].__setitem__(0, [6, 3]),
         _huge_vocab,
-    ], ids=["missing-tensors", "wrong-element-count", "missing-hidden", "nan-weight",
+    ], ids=["missing-tensors", "missing-tensor", "truncated-bytes", "missing-hidden",
+            "nan-weight", "inf-weight", "bad-base64", "non-string-data", "wrong-shape",
             "huge-vocab"])
     def test_exit_2_without_traceback(self, bundle_dir, capsys, command, corrupt):
         path = _untrained_rnn_file(bundle_dir)
@@ -384,10 +412,10 @@ class TestSensitivity:
         for module, name in ((edusent.pipeline, "read_json"), (edusent.cli, "file_sha256")):
             real = getattr(module, name)
 
-            def counted(path, _real=real, _name=name):
+            def counted(path, _real=real, _name=name, **kwargs):
                 if _name != "read_json" or Path(path).name.startswith("model_"):
                     calls[_name] += 1
-                return _real(path)
+                return _real(path, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         assert main(["sensitivity", "--out", str(trained_dir), "--no-plots",

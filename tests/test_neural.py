@@ -1,4 +1,7 @@
+import base64
 import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
 V1_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v1.json"
+V2_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v2.json"
 
 
 def _zero_cell(hidden=2, embed=2) -> dict:
@@ -418,36 +422,85 @@ class TestFusedLayout:
         b = init_model(DIMS, seed=0).params["fwd.b"]
         np.testing.assert_array_equal(b, [0.0] * h + [1.0] * h + [0.0] * (2 * h))
 
-    def test_file_stores_per_gate_blocks(self, tmp_path):
+    def test_file_stores_fused_arrays_as_little_endian_bytes(self, tmp_path):
         model = init_model(DIMS, seed=1)
         path = tmp_path / "model_rnn.json"
         save_rnn_model(model, path, vocab_ref="0")
-        tensors = json.loads(path.read_text())["tensors"]
-        h = DIMS.hidden
-        for k, gate in enumerate("ifog"):
-            shape, flat = tensors[f"bwd.U_{gate}"]
-            assert shape == [h, h]
-            np.testing.assert_array_equal(
-                np.reshape(flat, shape), model.params["bwd.U"][k * h : (k + 1) * h])
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        assert list(payload["tensors"]) == sorted(model.params)
+        for name, p in model.params.items():
+            shape, data = payload["tensors"][name]
+            assert shape == list(p.shape)
+            assert base64.b64decode(data) == p.astype("<f8").tobytes()
 
 
 class TestVersion1Fixture:
-    """A model file written before the gate tensors were fused."""
+    """A model file written before the gate tensors were fused, in decimal."""
 
     SEQUENCES = [[1], [9, 8, 7], [2, 4, 6, 8, 1, 3, 5, 7, 9, 2], [], [5, 5, 5, 5]]
     PROBS = [0.4670603203567777, 0.33940858522985706, 0.41670668692572577,
              0.31870937380012815, 0.2775446772837909]
 
-    def test_load_and_save_round_trips_bytes(self, tmp_path):
+    def test_resaves_as_the_version_2_fixture(self, tmp_path):
         _, model, ref = load_model(V1_FIXTURE)
         path = tmp_path / "resaved.json"
         save_rnn_model(model, path, ref)
-        assert path.read_bytes() == V1_FIXTURE.read_bytes()
+        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+        _, resaved, _ = load_model(path)
+        np.testing.assert_allclose(predict_sequences(resaved, self.SEQUENCES),
+                                   self.PROBS, rtol=1e-12, atol=0)
 
     def test_predictions_match_stored(self):
         _, model, _ = load_model(V1_FIXTURE)
         np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
                                    self.PROBS, rtol=1e-12, atol=0)
+
+
+class TestVersion2Fixture:
+    """The version-1 fixture's model, as the version-2 writer saves it."""
+
+    def test_load_and_save_round_trips_bytes(self, tmp_path):
+        _, model, ref = load_model(V2_FIXTURE)
+        path = tmp_path / "resaved.json"
+        save_rnn_model(model, path, ref)
+        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+
+    def test_params_equal_the_version_1_fixture_bit_for_bit(self):
+        _, v1, ref1 = load_model(V1_FIXTURE)
+        _, v2, ref2 = load_model(V2_FIXTURE)
+        assert (v2.dims, ref2) == (v1.dims, ref1)
+        assert list(v2.params) == list(v1.params)
+        for name, p in v1.params.items():
+            assert v2.params[name].tobytes() == p.tobytes(), name
+
+    def test_loaded_params_are_owned_writable_c_float64(self):
+        _, model, _ = load_model(V2_FIXTURE)
+        for name, p in model.params.items():
+            assert p.dtype == np.float64, name
+            assert p.flags.owndata and p.flags.writeable and p.flags.c_contiguous, name
+
+    def test_predictions_match_the_version_1_fixture(self):
+        _, model, _ = load_model(V2_FIXTURE)
+        np.testing.assert_allclose(predict_sequences(model, TestVersion1Fixture.SEQUENCES),
+                                   TestVersion1Fixture.PROBS, rtol=1e-12, atol=0)
+
+
+def _v2_bytes(name, edit):
+    """Replace the bytes of tensor `name` with `edit(bytes)`, re-encoded."""
+    def corrupt(payload):
+        entry = payload["tensors"][name]
+        entry[1] = base64.b64encode(edit(base64.b64decode(entry[1]))).decode("ascii")
+    return corrupt
+
+
+def _v2_text(name, text):
+    """Store `text` as the data of tensor `name`."""
+    return lambda payload: payload["tensors"][name].__setitem__(1, text)
+
+
+def _first_value(value):
+    return lambda raw: struct.pack("<d", value) + raw[8:]
 
 
 class TestMalformedModelFile:
@@ -476,6 +529,44 @@ class TestMalformedModelFile:
     def test_schema_error(self, tmp_path, edit):
         with pytest.raises(SchemaError):
             load_model(self._corrupt(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["tensors"].pop("fwd.U"),
+        _v2_text("out.b", "not base64!"),
+        _v2_text("out.b", "AAAAAAAA8D8"),
+        _v2_text("out.b", "AAAAAAAA8D\u00e98="),
+        _v2_text("out.b", "AAAA*AAAA8D8="),
+        _v2_bytes("bwd.U", lambda raw: raw[:-8]),
+        _v2_bytes("bwd.U", lambda raw: raw[:-1]),
+        _v2_bytes("bwd.U", lambda raw: raw + raw[:8]),
+        _v2_bytes("attn.v_a", _first_value(math.nan)),
+        _v2_bytes("embedding", _first_value(math.inf)),
+        _v2_bytes("out.w", _first_value(-math.inf)),
+        lambda p: p["tensors"]["attn.W_a"].__setitem__(0, [6, 3]),
+        lambda p: p["tensors"]["out.w"].__setitem__(1, [0.0] * 6),
+        lambda p: p["tensors"]["out.w"].__setitem__(1, None),
+        lambda p: p["tensors"].__setitem__("out.w", None),
+        lambda p: p["dims"].__setitem__("vocab_size", 2**62),
+        lambda p: p.__setitem__("kind", "logreg"),
+    ], ids=["missing-tensor", "bad-base64", "unpadded-base64", "non-ascii", "stray-character",
+            "truncated",
+            "partial-value", "extra-value", "nan", "inf", "minus-inf", "wrong-shape",
+            "list-data", "null-data", "entry-null", "huge-vocab", "logreg-v2"])
+    def test_version_2_schema_error_names_file(self, tmp_path, edit):
+        payload = json.loads(V2_FIXTURE.read_text())
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=str(path)):
+            load_model(path)
+
+    def test_version_3_rejected(self, tmp_path):
+        payload = json.loads(V2_FIXTURE.read_text())
+        payload["version"] = 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="version"):
+            load_model(path)
 
     def test_binary_file_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"

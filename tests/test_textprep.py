@@ -96,6 +96,22 @@ class TestLemmatize:
     def test_cases(self, lemma_rules, token, lemma):
         assert lemmatize([token], lemma_rules) == [lemma]
 
+    @pytest.mark.parametrize("token,lemma", [
+        ("syllabus", "syllabus"),
+        ("campus", "campus"),
+        ("bonus", "bonus"),
+        ("analysis", "analysis"),
+        ("basis", "basis"),
+        ("status", "status"),
+        ("caused", "caus"),
+        # the guards match only a final "us"/"is": plurals still lose their s
+        ("campuses", "campuse"),
+        ("analyses", "analyse"),
+        ("visits", "visit"),
+    ])
+    def test_us_and_is_guards_keep_the_final_s(self, lemma_rules, token, lemma):
+        assert lemmatize([token], lemma_rules) == [lemma]
+
     def test_length_preserved(self, lemma_rules):
         seq = ["grading", "exams", "is", "boring", "surely"]
         assert len(lemmatize(seq, lemma_rules)) == len(seq)
