@@ -2,12 +2,12 @@
 
 Everything is differentiated by hand against the cached forward values:
 output head, attention softmax, both LSTM directions (backpropagation
-through time), and the embedding lookup. Each direction first rebuilds its
-cells' previous (h, c) from the cached gates and H, with the forward
-pass's own expression for c, then walks its positions in reverse visiting
-order. Like the forward pass, each BPTT step touches only the rows that
-had a token at that position, a prefix of the length-ordered batch; every
-other row carries its (dh, dc) through unchanged. The step fills its
+through time), and the embedding lookup, on the forward pass's cells.
+Each direction first rebuilds its cells' previous (h, c) from the cached
+gates and H, with the forward pass's own expression for c, then walks its
+positions in reverse visiting order. Each BPTT step touches only the rows
+that had a token at that position, a prefix of the length-ordered batch;
+every other row carries its (dh, dc) through unchanged. The step fills its
 cells' rows of one (cells, 4h) gate-gradient array, from which the
 direction's W, U and b gradients and its input gradient are each one
 product. Only real positions scatter into the embedding gradient, so the
@@ -16,12 +16,9 @@ the gradients as a dict keyed like `RnnModel.params`."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..errors import ValidationError
-from .model import ForwardCache, RnnModel, halves, positions
+from .model import ForwardCache, RnnModel, cell_rows, positions
 
 
 def weighted_bce(probs, labels, w_pos: float, w_neg: float) -> float:
@@ -40,11 +37,11 @@ def _direction_backward(
     dH_dir: np.ndarray,
     grads: dict,
 ) -> np.ndarray:
-    """BPTT for direction `side`, whose half of H and of dH are `H_dir` and
-    `dH_dir`. Sets its parameter gradients in `grads` and returns the
-    gradient w.r.t. the cells' inputs, (cells, E)."""
+    """BPTT for direction `side`, whose (cells, h) halves of H and of dH are
+    `H_dir` and `dH_dir`. Sets its parameter gradients in `grads` and
+    returns the gradient w.r.t. the cells' inputs, (cells, E)."""
     steps, gates = cache.steps, cache.gates[side]
-    B, L, h_dim = H_dir.shape
+    B, L, h_dim = steps[1], len(steps) - 1, H_dir.shape[1]
     # each cell's (h, c) before its update, rebuilt in visiting order; c
     # takes the forward pass's expression, so it has its values bit for bit
     h_prev, c_prev = np.empty((2, len(gates), h_dim))
@@ -53,7 +50,7 @@ def _direction_backward(
         n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
         h_prev[rows], c_prev[rows] = h[:n], c[:n]
         i, f, g = (gates[rows, k * h_dim : (k + 1) * h_dim] for k in (0, 1, 3))
-        h[:n], c[:n] = H_dir[:n, t], f * c[:n] + i * g
+        h[:n], c[:n] = H_dir[rows], f * c[:n] + i * g
 
     da = np.empty_like(gates)
     dh_carry, dc_carry = np.zeros((2, B, h_dim))
@@ -63,7 +60,7 @@ def _direction_backward(
         # through as they are
         n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
         i, f, o, g = (gates[rows, k * h_dim : (k + 1) * h_dim] for k in range(4))
-        dh_tilde = dH_dir[:n, t] + dh_carry[:n]
+        dh_tilde = dH_dir[rows] + dh_carry[:n]
         tanh_c = np.tanh(f * c_prev[rows] + i * g)
         dc_tilde = dc_carry[:n] + dh_tilde * o * (1.0 - tanh_c ** 2)
 
@@ -84,17 +81,14 @@ def _direction_backward(
 
 def backward(
     model: RnnModel,
-    cache: Optional[ForwardCache],
+    cache: ForwardCache,
     w_pos: float = 1.0,
     w_neg: float = 1.0,
 ) -> dict:
     """Exact gradients of the weighted-BCE loss, {name: array} keyed and
     shaped like `model.params`."""
-    if cache is None:
-        raise ValidationError("backward needs the cache from a forward pass")
-    batch = cache.batch  # in length order, like every cached array but probs
-    B = batch.ids.shape[0]
-    y = batch.labels
+    y = cache.labels  # in length order, like every cached array but probs
+    B = len(y)
     w = np.where(y == 1.0, w_pos, w_neg)
 
     params = model.params
@@ -104,22 +98,21 @@ def backward(
     dlogit = w * (cache.probs[cache.order] - y) / B
     grads["out.w"] += cache.context.T @ dlogit
     grads["out.b"] += dlogit.sum()
-    dcontext = dlogit[:, None] * params["out.w"][None, :]
 
-    # attention: context = sum_t alpha_t H_t with alpha = softmax(v . tanh(W H))
+    # attention: context = sum of alpha H over a row's cells, alpha = softmax(v . tanh(W H))
     alphas, u, H = cache.alphas, cache.u, cache.H
-    dalpha = (H @ dcontext[:, :, None])[:, :, 0]
-    dH = alphas[:, :, None] * dcontext[:, None, :]
-    de = alphas * (dalpha - np.sum(alphas * dalpha, axis=1, keepdims=True))
-    A = u.shape[2]
-    grads["attn.v_a"] += de.reshape(-1) @ u.reshape(-1, A)
-    du = de[:, :, None] * params["attn.v_a"][None, None, :]
-    dpre = du * (1.0 - u ** 2)
-    grads["attn.W_a"] += dpre.reshape(-1, A).T @ H.reshape(-1, H.shape[2])
+    row = cell_rows(cache.steps)
+    dctx = dlogit[row, None] * params["out.w"]
+    dalpha = np.einsum("ij,ij->i", H, dctx)
+    dH = alphas[:, None] * dctx
+    de = alphas * (dalpha - np.bincount(row, alphas * dalpha, B)[row])
+    grads["attn.v_a"] += de @ u
+    dpre = de[:, None] * params["attn.v_a"] * (1.0 - u ** 2)
+    grads["attn.W_a"] += dpre.T @ H
     dH += dpre @ params["attn.W_a"]
 
     # split the concatenated states and run BPTT per direction
     dx = sum(_direction_backward(params, side, cache, H_dir, dH_dir, grads)
-             for (side, H_dir), (_, dH_dir) in zip(halves(H), halves(dH)))
-    np.add.at(grads["embedding"], batch.ids.T[batch.mask.T > 0.0], dx)
+             for side, H_dir, dH_dir in zip(("fwd", "bwd"), np.hsplit(H, 2), np.hsplit(dH, 2)))
+    np.add.at(grads["embedding"], cache.ids, dx)
     return grads

@@ -7,13 +7,13 @@ All math is float64 and deterministic.
 
 Both passes put a batch's rows in length order, longest first, so the rows
 that have a token at a position are a prefix of the batch. A batch's real
-positions, its cells, are listed once, position-major, and only they are
-embedded. Both directions step that one list, `fwd` from the first
-position to the last and `bwd` from the last to the first, and each step
-updates only its prefix of rows; a row whose tokens have ended (or, for
-`bwd`, not yet begun) keeps its (h, c), and its padded positions get zero
-output rows without any work. Only the B-length probabilities are put
-back in the caller's row order.
+positions, its cells, are listed once, position-major, and every array
+per token (embeddings, gates, H, attention weights) has one row per cell.
+Both directions step that one list, `fwd` from the first position to the
+last and `bwd` from the last to the first, and each step updates only its
+prefix of rows; a row whose tokens have ended (or, for `bwd`, not yet
+begun) keeps its (h, c). Attention is a softmax over each row's cells.
+Only the B-length probabilities are put back in the caller's row order.
 
 Architecture: trainable embedding (row 0 pinned to zeros for padding),
 one LSTM per direction, additive (tanh) attention over the concatenated
@@ -171,22 +171,22 @@ def lstm_step(
 
 @dataclass
 class ForwardCache:
-    """Every array is in length order (`batch` is the caller's batch
-    reordered by `order`) except `probs`, which is in the caller's order.
+    """Every array is in length order (the caller's rows reordered by
+    `order`) except `probs`, which is in the caller's order.
 
     The batch's real positions are its cells, listed position-major:
     position t holds cells steps[t]:steps[t + 1], rows 0 ... n_t - 1."""
 
-    batch: TokenBatch
     order: np.ndarray  # (B,) caller row of each length-ordered row
+    labels: np.ndarray  # (B,)
     steps: np.ndarray  # (L + 1,) cell offset of each position
+    ids: np.ndarray  # (cells,) token id of each cell
     x: np.ndarray  # (cells, E) embedded cells
     gates: dict  # side -> (cells, 4h): sigma(i), sigma(f), sigma(o), tanh(g)
-    H: np.ndarray  # (B, L, 2 * hidden), zero rows at masked positions
-    u: np.ndarray  # tanh(W_a . h), (B, L, attn_dim)
-    alphas: np.ndarray  # (B, L)
+    H: np.ndarray  # (cells, 2 * hidden): fwd states, then bwd states
+    u: np.ndarray  # tanh(W_a . h), (cells, attn_dim)
+    alphas: np.ndarray  # (cells,)
     context: np.ndarray  # (B, 2 * hidden)
-    logits: np.ndarray  # (B,)
     probs: np.ndarray  # (B,)
 
 
@@ -195,86 +195,87 @@ def positions(side: str, length: int) -> range:
     return range(length) if side == "fwd" else range(length - 1, -1, -1)
 
 
-def halves(H: np.ndarray):
-    """(side, view) for each direction's half of the last axis of `H`."""
-    h = H.shape[2] // 2
-    return (("fwd", H[:, :, :h]), ("bwd", H[:, :, h:]))
+def cell_rows(steps: np.ndarray) -> np.ndarray:
+    """The batch row of each cell, given the cell offsets `steps` of rows in
+    length order, each with a cell at position 0."""
+    counts = np.diff(steps)
+    if len(counts) == 0 or counts[0] < 1 or np.any(np.diff(counts) > 0):
+        raise ValidationError("cells must list rows in length order, each from position 0")
+    return np.arange(steps[-1]) - np.repeat(steps[:-1], counts)
 
 
 def _cells(model: RnnModel, batch: TokenBatch):
-    """(order, batch in length order, steps, x): the embedded real positions
-    of the reordered batch, position-major, and the (L + 1,) offset of each
-    position's cells."""
+    """(order, steps, ids, x): the batch's length order, the (L + 1,) offset of
+    each position's cells, and the cells' ids and embeddings, position-major."""
     order, batch = batch.in_length_order()
     real = batch.mask.T > 0.0
     steps = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
-    return order, batch, steps, embed(model, batch.ids.T[real])
+    ids = batch.ids.T[real]
+    return order, steps, ids, embed(model, ids)
 
 
-def _run_direction(params: dict, side: str, x: np.ndarray, steps: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """Run direction `side` over the cells `x`, writing each step's hidden
-    state into `out` (B, L, hidden), a zeroed view of H, at the cell's own
-    position. Returns the cells' (cells, 4h) gates.
+def _run_direction(params: dict, side: str, x: np.ndarray, steps: np.ndarray):
+    """Run direction `side` over the cells `x`. Returns their (cells, 4h)
+    gates and (cells, hidden) hidden states.
 
     Position t updates only rows 0 ... n_t - 1, the rows that have a token
     there. `fwd` visits t = 0 ... L - 1, so a row stops at its last token;
     `bwd` visits t = L - 1 ... 0, so a row joins at its last token, from
-    zero state. Every other row keeps its (h, c), and its output row stays
-    zero, so padding never alters real positions.
+    zero state. Every other row keeps its (h, c), so padding never alters
+    real positions.
     """
-    h = np.zeros((out.shape[0], out.shape[2]))
-    c = np.zeros_like(h)
     # the input projection of every cell in one GEMM; each step then
     # overwrites its cells' rows with the activations
     gates = x @ params[f"{side}.W"].T
-    for t in positions(side, out.shape[1]):
+    h = np.zeros((steps[1], gates.shape[1] // 4))  # every row has a cell at position 0
+    c = np.zeros_like(h)
+    states = np.empty((len(x), h.shape[1]))
+    for t in positions(side, len(steps) - 1):
         n, rows = steps[t + 1] - steps[t], slice(steps[t], steps[t + 1])
         h[:n], c[:n], gates[rows] = lstm_step(gates[rows], h[:n], c[:n], params, side)
-        out[:n, t] = h[:n]
-    return gates
+        states[rows] = h[:n]
+    return gates, states
 
 
-def attention(model: RnnModel, H: np.ndarray, mask: np.ndarray):
-    """Additive attention pooling.
-
-    Returns (context (B, 2h), alphas (B, L), u) where alphas are a softmax
-    over unmasked positions only.
-    """
-    if np.any(mask.sum(axis=1) < 1):
-        raise ValidationError("attention needs at least one unmasked position per row")
-    u = np.tanh(H @ model.params["attn.W_a"].T)  # (B, L, A)
-    e = u @ model.params["attn.v_a"]  # (B, L)
-    e_masked = np.where(mask > 0, e, -np.inf)
-    e_shift = e_masked - e_masked.max(axis=1, keepdims=True)
-    exps = np.where(mask > 0, np.exp(e_shift), 0.0)
-    alphas = exps / exps.sum(axis=1, keepdims=True)
-    context = (alphas[:, None, :] @ H)[:, 0]
+def attention(model: RnnModel, H: np.ndarray, steps: np.ndarray):
+    """Additive attention pooling over each row's cells, whose states `H`
+    are laid out by the cell offsets `steps`. Returns (context (B, 2h),
+    alphas (cells,), u (cells, A)); a row's alphas are a softmax over its cells."""
+    row, B = cell_rows(steps), steps[1]
+    u = np.tanh(H @ model.params["attn.W_a"].T)
+    e = u @ model.params["attn.v_a"]
+    e_max = np.full(B, -np.inf)
+    np.maximum.at(e_max, row, e)
+    exps = np.exp(e - e_max[row])
+    alphas = exps / np.bincount(row, exps, B)[row]
+    weighted = alphas[:, None] * H
+    context = np.zeros((B, H.shape[1]))
+    # position t's cells are rows 0 ... n_t - 1, the slices the LSTM steps
+    for t in range(len(steps) - 1):
+        context[: steps[t + 1] - steps[t]] += weighted[steps[t] : steps[t + 1]]
     return context, alphas, u
 
 
 def forward(model: RnnModel, batch: TokenBatch) -> ForwardCache:
     """Full forward pass over the rows in length order; the returned cache
     feeds `backprop.backward`, and its `probs` are in the caller's order."""
-    order, batch, steps, x = _cells(model, batch)
-    H = np.zeros(batch.ids.shape + (2 * model.dims.hidden,))
-    gates = {side: _run_direction(model.params, side, x, steps, out) for side, out in halves(H)}
-    context, alphas, u = attention(model, H, batch.mask)
-    logits = context @ model.params["out.w"] + model.params["out.b"]
-    probs = np.empty_like(logits)
-    probs[order] = sigmoid(logits)
-    return ForwardCache(batch=batch, order=order, steps=steps, x=x, gates=gates, H=H, u=u,
-                        alphas=alphas, context=context, logits=logits, probs=probs)
+    order, steps, ids, x = _cells(model, batch)
+    runs = {side: _run_direction(model.params, side, x, steps) for side in ("fwd", "bwd")}
+    H = np.hstack([states for _, states in runs.values()])
+    context, alphas, u = attention(model, H, steps)
+    probs = np.empty(len(order))
+    probs[order] = sigmoid(context @ model.params["out.w"] + model.params["out.b"])
+    return ForwardCache(order=order, labels=batch.labels[order], steps=steps, ids=ids, x=x,
+                        gates={side: gates for side, (gates, _) in runs.items()}, H=H, u=u,
+                        alphas=alphas, context=context, probs=probs)
 
 
 def batch_probs(model: RnnModel, batch: TokenBatch) -> np.ndarray:
     """`forward(model, batch).probs`, bit for bit, keeping only H: each
     side's gates are dropped as soon as that side has run."""
-    order, batch, steps, x = _cells(model, batch)
-    H = np.zeros(batch.ids.shape + (2 * model.dims.hidden,))
-    for side, out in halves(H):
-        _run_direction(model.params, side, x, steps, out)
-    context, _, _ = attention(model, H, batch.mask)
+    order, steps, _, x = _cells(model, batch)
+    H = np.hstack([_run_direction(model.params, side, x, steps)[1] for side in ("fwd", "bwd")])
+    context, _, _ = attention(model, H, steps)
     probs = np.empty(len(order))
     probs[order] = sigmoid(context @ model.params["out.w"] + model.params["out.b"])
     return probs

@@ -53,6 +53,7 @@ from edusent.neural import (
     train_rnn,
     weighted_bce,
 )
+from edusent.neural.model import cell_rows
 from edusent.resample import SmoteConfig, balance_sparse
 from edusent.textprep import LemmaRuleTable, StopwordList, lemmatize, preprocess, remove_stopwords
 
@@ -274,14 +275,15 @@ def test_criterion_6_smote_properties():
 
 def test_criterion_7_invariant_suites():
     with criterion(7, "attention, untrained outputs, splits, idempotence", 10.0):
-        # attention weights: sum to one, vanish on masked positions
+        # attention weights: one per real token, non-negative, each row's sum to one
         dims = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
         model = init_model(dims, seed=2)
         batch = build_batch([[1, 2, 3, 4], [5, 6]], [1.0, 0.0], dims.max_len)
-        alphas = forward(model, batch).alphas
-        np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(alphas[1, 2:], 0.0)
-        assert np.all(alphas >= 0.0)
+        cache = forward(model, batch)
+        assert cache.alphas.shape == (6,)
+        np.testing.assert_allclose(np.bincount(cell_rows(cache.steps), cache.alphas), 1.0,
+                                   atol=1e-12)
+        assert np.all(cache.alphas >= 0.0)
 
         # untrained models emit exactly 0.5
         np.testing.assert_array_equal(forward(model, batch).probs, 0.5)

@@ -27,6 +27,7 @@ from edusent.neural import (
     predict_sequences,
 )
 from edusent.neural import model as model_module
+from edusent.neural.model import cell_rows
 from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
@@ -106,11 +107,12 @@ class TestBilstm:
         model = init_model(DIMS, seed=2)
         batch = build_batch([[5]], [1.0], DIMS.max_len)
         H = forward(model, batch).H
+        assert H.shape == (1, 2 * DIMS.hidden)
         x = model.params["embedding"][5]
         zeros = np.zeros(DIMS.hidden)
         h_f, _ = _step(x, zeros, zeros, model.params, "fwd")
         h_b, _ = _step(x, zeros, zeros, model.params, "bwd")
-        np.testing.assert_allclose(H[0, 0], np.concatenate([h_f, h_b]), atol=1e-14)
+        np.testing.assert_allclose(H[0], np.concatenate([h_f, h_b]), atol=1e-14)
 
     def test_palindrome_with_shared_cells_is_mirror_symmetric(self):
         model = init_model(DIMS, seed=3)
@@ -119,17 +121,19 @@ class TestBilstm:
         batch = build_batch([[2, 7, 2]], [1.0], DIMS.max_len)
         H = forward(model, batch).H
         h = DIMS.hidden
-        for t in range(3):
-            np.testing.assert_allclose(H[0, t, :h], H[0, 2 - t, h:], atol=1e-12)
+        for t in range(3):  # one row: cell t is position t
+            np.testing.assert_allclose(H[t, :h], H[2 - t, h:], atol=1e-12)
 
     def test_masked_tail_does_not_alter_earlier_outputs(self):
         model = init_model(DIMS, seed=4)
         short = build_batch([[3, 4]], [1.0], DIMS.max_len)
         wide = build_batch([[5, 6, 7, 8], [3, 4]], [0.0, 1.0], DIMS.max_len)
         H_short = forward(model, short).H
-        H_wide = forward(model, wide).H
-        np.testing.assert_allclose(H_wide[1, :2], H_short[0, :2], atol=1e-14)
-        np.testing.assert_array_equal(H_wide[1, 2:], 0.0)
+        wide_cache = forward(model, wide)
+        # the short row is length-order row 1; its cells sit at steps[t] + 1
+        cells = wide_cache.steps[:2] + 1
+        np.testing.assert_allclose(wide_cache.H[cells], H_short, atol=1e-14)
+        assert len(wide_cache.H) == 6  # its padded positions have no cell
 
     def test_mixed_lengths_match_a_per_row_loop(self):
         """Each row of H equals lstm_step run over that row's tokens alone,
@@ -148,42 +152,84 @@ class TestBilstm:
                 h_t, c_t = np.zeros((1, h)), np.zeros((1, h))
                 for t in ts:
                     h_t, c_t, _ = lstm_step(xw[t : t + 1], h_t, c_t, model.params, side)
-                    np.testing.assert_allclose(cache.H[row, t, k * h : (k + 1) * h], h_t[0], rtol=0,
+                    cell = cache.steps[t] + row
+                    np.testing.assert_allclose(cache.H[cell, k * h : (k + 1) * h], h_t[0], rtol=0,
                                                atol=1e-15, err_msg=f"{row} {t} {side}")
-            np.testing.assert_array_equal(cache.H[row, len(seq) :], 0.0)
+        assert len(cache.H) == sum(map(len, seqs))  # one state per real token
 
 
 class TestAttention:
     def test_identical_states_uniform_weights(self):
         model = init_model(DIMS, seed=5)
-        H = np.tile(np.linspace(0.1, 0.6, 2 * DIMS.hidden), (1, 4, 1))
-        mask = np.ones((1, 4))
-        _, alphas, _ = attention(model, H, mask)
+        H = np.tile(np.linspace(0.1, 0.6, 2 * DIMS.hidden), (4, 1))
+        _, alphas, _ = attention(model, H, np.arange(5))  # one row, 4 positions
         np.testing.assert_allclose(alphas, 0.25, atol=1e-12)
 
     def test_single_unmasked_position(self):
+        """A row with one token puts all its weight on that token, beside a
+        longer row."""
         model = init_model(DIMS, seed=5)
-        rng = np.random.default_rng(0)
-        H = rng.normal(size=(1, 3, 2 * DIMS.hidden))
-        mask = np.array([[1.0, 0.0, 0.0]])
-        H[0, 1:] = 0.0
-        context, alphas, _ = attention(model, H, mask)
-        np.testing.assert_allclose(alphas, [[1.0, 0.0, 0.0]], atol=0)
-        np.testing.assert_allclose(context[0], H[0, 0], atol=0)
+        H = np.random.default_rng(0).normal(size=(4, 2 * DIMS.hidden))
+        steps = np.array([0, 2, 3, 4])  # row 0 holds cells 0, 2, 3; row 1 cell 1
+        context, alphas, _ = attention(model, H, steps)
+        assert alphas[1] == 1.0
+        np.testing.assert_array_equal(context[1], H[1])
 
     def test_rows_sum_to_one_and_masked_zero(self):
+        """Each row's weights sum to one, and only real tokens get one: a
+        padded position has no cell."""
         model = init_model(DIMS, seed=6)
         batch = build_batch([[1, 2, 3, 4], [5, 6]], [1.0, 0.0], DIMS.max_len)
-        alphas = forward(model, batch).alphas
-        np.testing.assert_allclose(alphas.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(alphas >= 0.0)
-        np.testing.assert_array_equal(alphas[1, 2:], 0.0)
+        cache = forward(model, batch)
+        assert cache.alphas.shape == (6,)
+        np.testing.assert_allclose(np.bincount(cell_rows(cache.steps), cache.alphas), 1.0,
+                                   atol=1e-12)
+        assert np.all(cache.alphas >= 0.0)
 
     def test_all_masked_row_rejected(self):
+        """Cell offsets with no cell at position 0 (a row with no token) or
+        whose per-position counts rise are not a length-ordered batch."""
         model = init_model(DIMS, seed=6)
-        H = np.zeros((1, 2, 2 * DIMS.hidden))
-        with pytest.raises(ValidationError):
-            attention(model, H, np.zeros((1, 2)))
+        H = np.zeros((3, 2 * DIMS.hidden))
+        for steps in ([0, 0, 3], [0, 1, 3], [0]):
+            with pytest.raises(ValidationError):
+                attention(model, H, np.array(steps))
+
+    def test_matches_the_masked_grid_softmax(self):
+        """On mixed lengths, the per-row softmax over cells equals a softmax
+        over the padded B x L grid with -inf at padded positions."""
+        model = init_model(DIMS, seed=6)
+        rng = np.random.default_rng(1)
+        lengths = [6, 6, 4, 3, 3, 1]
+        steps = np.concatenate(([0], np.cumsum([sum(n > t for n in lengths)
+                                                for t in range(6)])))
+        H = rng.normal(size=(steps[-1], 2 * DIMS.hidden))
+        context, alphas, _ = attention(model, H, steps)
+
+        row, pos = cell_rows(steps), np.repeat(np.arange(6), np.diff(steps))
+        grid = np.zeros((len(lengths), 6, 2 * DIMS.hidden))
+        grid[row, pos] = H
+        mask = np.zeros((len(lengths), 6))
+        mask[row, pos] = 1.0
+        e = np.tanh(grid @ model.params["attn.W_a"].T) @ model.params["attn.v_a"]
+        e = np.where(mask > 0, e, -np.inf)
+        exps = np.where(mask > 0, np.exp(e - e.max(axis=1, keepdims=True)), 0.0)
+        grid_alphas = exps / exps.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(alphas, grid_alphas[row, pos], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(context, (grid_alphas[:, None, :] @ grid)[:, 0],
+                                   rtol=0, atol=1e-15)
+
+    def test_each_row_is_shifted_by_its_own_maximum(self):
+        """A row whose scores lie far below another row's keeps its weights:
+        a shift by the batch's maximum would underflow them to 0 / 0."""
+        model = init_model(DIMS, seed=5)
+        model.params["attn.v_a"] *= 1e4
+        z = np.linspace(-1.0, 1.0, 2 * DIMS.hidden) * 100.0
+        H = np.array([z, -z, z, z])  # row 1's scores are row 0's, negated
+        e = np.tanh(H @ model.params["attn.W_a"].T) @ model.params["attn.v_a"]
+        assert abs(e[0] - e[1]) > 2000.0
+        _, alphas, _ = attention(model, H, np.array([0, 2, 3, 4]))
+        np.testing.assert_allclose(alphas, [1 / 3, 1.0, 1 / 3, 1 / 3], rtol=1e-15, atol=0)
 
 
 class TestForward:
@@ -214,11 +260,6 @@ class TestForward:
         pa = forward(model, a).probs
         pb = forward(model, b).probs
         np.testing.assert_allclose(pa, pb[::-1], atol=1e-15)
-
-    def test_backward_requires_cache(self):
-        model = init_model(DIMS, seed=11)
-        with pytest.raises(ValidationError):
-            backward(model, None)
 
 
 class TestBatches:
