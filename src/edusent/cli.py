@@ -18,33 +18,19 @@ from .errors import SchemaError, ValidationError, read_utf8
 from .evalmetrics import ConfusionMatrix, RocCurve, evaluation_report
 from .features import tfidf_transform
 from .ingest import split
-from .linear import (
-    LinearTrainConfig,
-    classify,
-    predict_proba,
-    train_lr,
-)
-from .neural import (
-    NeuralTrainConfig,
-    RnnDims,
-    encode_tokens,
-    predict_sequences,
-    train_rnn,
-)
+from .linear import LinearTrainConfig, classify, train_lr
+from .neural import NeuralTrainConfig, RnnDims, train_rnn
 from .pipeline import (
-    Bundle,
-    check_vocab_ref,
     file_sha256,
+    load_bound_model,
     load_bundle,
     load_lexicons,
-    load_model,
     load_report_metrics,
     load_tfidf_model,
     prepare_bundle,
-    read_json,
     save_linear_model,
     save_rnn_model,
-    tfidf_rows,
+    score,
     sequence_data,
     write_csv,
     write_json,
@@ -68,9 +54,8 @@ DEFAULT_SENSITIVITY_SENTENCES = [
 
 
 def cmd_prepare(cfg: PipelineConfig, args) -> int:
-    out = prepare_bundle(cfg)
-    report = read_json(out / "drop_report.json")
-    print(f"bundle written to {out} "
+    report = prepare_bundle(cfg)
+    print(f"bundle written to {Path(cfg.out)} "
           f"(rows={report['rows']}, retained={report['retained']}, "
           f"neutral_excluded={report['neutral_excluded']})")
     return 0
@@ -81,14 +66,13 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     out = Path(cfg.out)
     initial = None
     if args.resume:
-        kind, initial, ref = load_model(args.resume)
+        kind, initial = load_bound_model(args.resume, bundle.tfidf, bundle.vocab_ref)
         if kind != args.kind:
             raise SchemaError(f"resume model {args.resume} is a {kind} model, not {args.kind}")
-        check_vocab_ref(initial, ref, bundle.tfidf, bundle.vocab_ref,
-                        f"resume model {args.resume}")
+    train = bundle.subset(bundle.train_ids)
     if args.kind == "logreg":
-        X = tfidf_rows(bundle, bundle.train_ids)
-        y = [bundle.examples[i].label for i in bundle.train_ids]
+        X = tfidf_transform(bundle.tfidf, [ex.tokens for ex in train])
+        y = [ex.label for ex in train]
         Xb, yb = balance_sparse(X, y, len(bundle.tfidf.vocab),
                                 SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
         result = train_lr(
@@ -107,11 +91,10 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         return 0
 
     # rnn
-    train_examples = bundle.subset(bundle.train_ids)
     rnn_train_ids = list(bundle.train_ids)
     rnn_val_ids = list(bundle.train_ids)
     if 0.0 < cfg.val_fraction < 1.0:
-        inner = split(train_examples, 1.0 - cfg.val_fraction, cfg.seed + 1)
+        inner = split(train, 1.0 - cfg.val_fraction, cfg.seed + 1)
         val_ids = [bundle.train_ids[j] for j in inner.test_ids]
         val_label_kinds = {bundle.examples[i].label for i in val_ids}
         if len(val_ids) >= 10 and len(val_label_kinds) == 2:
@@ -147,27 +130,15 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _test_scores(cfg: PipelineConfig, bundle: Bundle, model_path: Path):
-    kind, model, ref = load_model(model_path)
-    check_vocab_ref(model, ref, bundle.tfidf, bundle.vocab_ref, str(model_path))
-    ids = bundle.test_ids
-    if not ids:
-        raise ValidationError("empty evaluation set")
-    y_true = [bundle.examples[i].label for i in ids]
-    if kind == "logreg":
-        scores = predict_proba(model, tfidf_rows(bundle, ids)).tolist()
-    else:
-        ds, _ = sequence_data(bundle, ids, model.dims.max_len, drop_empty=False)
-        scores = [float(p) for p in predict_sequences(model, ds.sequences)]
-    y_pred = [classify(p) for p in scores]
-    return kind, y_true, y_pred, scores
-
-
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     bundle = load_bundle(cfg.out)
-    model_path = Path(args.model)
-    kind, y_true, y_pred, scores = _test_scores(cfg, bundle, model_path)
-    report = evaluation_report(y_true, y_pred, scores)
+    kind, model = load_bound_model(args.model, bundle.tfidf, bundle.vocab_ref)
+    test = bundle.subset(bundle.test_ids)
+    if not test:
+        raise ValidationError("empty evaluation set")
+    scores = score(model, bundle.tfidf, [ex.tokens for ex in test]).tolist()
+    report = evaluation_report([ex.label for ex in test], [classify(p) for p in scores],
+                               scores)
     out = Path(cfg.out)
     write_json(out / f"eval_{kind}.json", report)
     if not cfg.no_plots:
@@ -182,37 +153,26 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _locate_vocab(cfg: PipelineConfig, model_path: Path) -> Path:
-    for candidate in (model_path.parent / "vocab.json", Path(cfg.out) / "vocab.json"):
-        if candidate.exists():
-            return candidate
+def _load_with_vocab(cfg: PipelineConfig, model_path: Path) -> tuple:
+    """The model at `model_path`, bound to the vocab.json beside it or else
+    in the bundle: (model, tfidf), the arguments `score` takes first."""
+    for vocab_path in (model_path.parent / "vocab.json", Path(cfg.out) / "vocab.json"):
+        if vocab_path.exists():
+            tfidf = load_tfidf_model(vocab_path)
+            _, model = load_bound_model(model_path, tfidf, file_sha256(vocab_path))
+            return model, tfidf
     raise SchemaError(f"no vocab.json found near {model_path} or in {cfg.out}")
-
-
-def _scorer(cfg: PipelineConfig, model_path: Path):
-    """Load a model and its vocabulary once; returns a function mapping
-    tokens to (probability, whether no token reached the model)."""
-    kind, model, ref = load_model(model_path)
-    vocab_path = _locate_vocab(cfg, model_path)
-    tfidf = load_tfidf_model(vocab_path)
-    check_vocab_ref(model, ref, tfidf, file_sha256(vocab_path), str(model_path))
-    if kind == "logreg":
-        def score(tokens):
-            x = tfidf_transform(tfidf, [tokens])
-            return float(predict_proba(model, x)[0]), not x.indices.size
-    else:
-        def score(tokens):
-            ids = encode_tokens(tokens, tfidf.vocab.term_to_index, model.dims.max_len)
-            return float(predict_sequences(model, [ids])[0]), not ids
-    return score
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     sw, rules = load_lexicons(cfg)
     text = args.text if args.text is not None else sys.stdin.read()
     tokens = preprocess(text, sw, rules)
-    p, low_signal = _scorer(cfg, Path(args.model))(tokens)
-    flags = ["low-signal input"] if low_signal else []
+    model, tfidf = _load_with_vocab(cfg, Path(args.model))
+    p = float(score(model, tfidf, [tokens])[0])
+    # low signal: no token of the text is in the vocabulary
+    in_vocab = any(t in tfidf.vocab.term_to_index for t in tokens)
+    flags = [] if in_vocab else ["low-signal input"]
     print(json.dumps(
         {"label": str(classify(p)), "p_positive": p, "flags": flags},
         sort_keys=True))
@@ -231,14 +191,13 @@ def cmd_sensitivity(cfg: PipelineConfig, args) -> int:
     sentences = (_read_sentences(args.sentences) if args.sentences
                  else list(DEFAULT_SENSITIVITY_SENTENCES))
     sw, rules = load_lexicons(cfg)
-    lr_score = _scorer(cfg, Path(args.lr_model))
-    rnn_score = _scorer(cfg, Path(args.rnn_model))
+    lr = _load_with_vocab(cfg, Path(args.lr_model))
+    rnn = _load_with_vocab(cfg, Path(args.rnn_model))
     rows = []
     for sid, sentence in enumerate(sentences, start=1):
-        tokens = preprocess(sentence, sw, rules)
-        lr_p, _ = lr_score(tokens)
-        rnn_p, _ = rnn_score(tokens)
-        rows.append((sid, sentence, lr_p, rnn_p))
+        # one sentence per call, so each value is the one `predict` gives
+        docs = [preprocess(sentence, sw, rules)]
+        rows.append((sid, sentence, float(score(*lr, docs)[0]), float(score(*rnn, docs)[0])))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "sensitivity.csv",
@@ -344,6 +303,9 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. model dimensions too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,6 +127,7 @@ def _validate(cfg: PipelineConfig) -> None:
          "learning rates and lr_l2 must be finite"),
         (cfg.lr_learning_rate > 0 and cfg.rnn_learning_rate > 0,
          "learning rates must be positive"),
+        (cfg.lr_l2 >= 0, "lr_l2 must be >= 0"),
         (cfg.rnn_batch_size >= 1, "rnn_batch_size must be >= 1"),
         (min(cfg.embed_dim, cfg.hidden_dim, cfg.attn_dim, cfg.max_len) >= 1,
          "model dimensions must be >= 1"),

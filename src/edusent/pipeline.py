@@ -4,8 +4,10 @@ featurization paths.
 `prepare` writes a bundle directory of six files (cleaned examples, the
 frozen vocabulary + idf, the chi-squared report, the split manifest, the
 balance report, and the drop report). Training and evaluation read the
-bundle back and bind models to the vocabulary file's SHA-256 so stale
-model/vocabulary pairs are rejected.
+bundle back. A model file records its vocabulary file's SHA-256, and
+`load_bound_model` is the one way a command loads a model: it rejects a
+stale model/vocabulary pair. `score` is the one way a command scores
+text: it turns token lists into P(Positive) for either kind of model.
 
 Only this module knows the file formats. Every output file is written
 whole or not at all (`_write_atomic`, under `write_json`, `write_csv` and
@@ -31,7 +33,6 @@ import numpy as np
 from .config import PipelineConfig, column_schema
 from .errors import SchemaError, ValidationError, read_utf8
 from .features import (
-    Csr,
     TfidfModel,
     Vocabulary,
     build_vocabulary,
@@ -49,13 +50,14 @@ from .ingest import (
     parse_csv,
     split,
 )
-from .linear import LinearModel
+from .linear import LinearModel, predict_proba
 from .neural import (
     RnnDims,
     RnnModel,
     SequenceDataset,
     encode_tokens,
     parameter_shapes,
+    predict_sequences,
 )
 from .resample import class_weights
 from .textprep import LemmaRuleTable, StopwordList, preprocess
@@ -294,8 +296,9 @@ def load_lexicons(cfg: PipelineConfig) -> tuple[StopwordList, LemmaRuleTable]:
     return StopwordList.load(cfg.stopwords), LemmaRuleTable.load(cfg.lemma_rules)
 
 
-def prepare_bundle(cfg: PipelineConfig) -> Path:
-    """Run ingestion + cleaning + featurization and write the bundle."""
+def prepare_bundle(cfg: PipelineConfig) -> dict:
+    """Run ingestion + cleaning + featurization and write the bundle;
+    returns the drop report it writes to drop_report.json."""
     if not cfg.data:
         raise SchemaError("no input CSV configured (--data or config key 'data')")
     records, drops = parse_csv(cfg.data, schema=column_schema(cfg))
@@ -349,7 +352,7 @@ def prepare_bundle(cfg: PipelineConfig) -> Path:
     report["neutral_excluded"] = neutral_excluded
     report["version"] = 1
     write_json(out / "drop_report.json", report)
-    return out
+    return report
 
 
 def _example(row) -> LabeledExample:
@@ -408,21 +411,34 @@ def load_bundle(root: Union[str, Path]) -> Bundle:
     )
 
 
-def check_vocab_ref(model: Union[LinearModel, RnnModel], vocab_ref: str,
-                    tfidf: TfidfModel, tfidf_ref: str, what: str) -> None:
-    """Reject a model bound to another vocabulary file, or one whose width
-    is not its vocabulary's size."""
+def load_bound_model(path: Union[str, Path], tfidf: TfidfModel, tfidf_ref: str) -> tuple:
+    """`load_model`, checked against the vocabulary `tfidf` whose file
+    hashes to `tfidf_ref`: a model bound to another vocabulary file, or one
+    whose width is not the vocabulary's size, is a SchemaError naming `path`.
+
+    Returns (kind, model).
+    """
+    kind, model, vocab_ref = load_model(path)
     if vocab_ref != tfidf_ref:
-        raise SchemaError(f"{what} was trained against vocabulary {vocab_ref[:12]}... "
+        raise SchemaError(f"{path} was trained against vocabulary {vocab_ref[:12]}... "
                           f"but the vocabulary hashes to {tfidf_ref[:12]}...")
     width = model.dim if isinstance(model, LinearModel) else model.dims.vocab_size
     if width != len(tfidf.vocab):
-        raise SchemaError(f"{what} is {width} terms wide, but its vocabulary "
+        raise SchemaError(f"{path} is {width} terms wide, but its vocabulary "
                           f"holds {len(tfidf.vocab)} terms")
+    return kind, model
 
 
-def tfidf_rows(bundle: Bundle, ids: Sequence[int]) -> Csr:
-    return tfidf_transform(bundle.tfidf, [bundle.examples[i].tokens for i in ids])
+def score(model: Union[LinearModel, RnnModel], tfidf: TfidfModel,
+          docs: Sequence[list]) -> np.ndarray:
+    """P(Positive) of each token list in `docs`, in order, under a model
+    bound to `tfidf`: TF-IDF rows for a LinearModel, clipped id sequences
+    for an RnnModel."""
+    if isinstance(model, LinearModel):
+        return predict_proba(model, tfidf_transform(tfidf, docs))
+    t2i = tfidf.vocab.term_to_index
+    return predict_sequences(
+        model, [encode_tokens(doc, t2i, model.dims.max_len) for doc in docs])
 
 
 def sequence_data(

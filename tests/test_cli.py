@@ -1,4 +1,5 @@
 import base64
+import csv
 import json
 import math
 import shutil
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import edusent.cli
+import edusent.neural.train
 import edusent.pipeline
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.config import build_config
@@ -259,6 +261,32 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert not (bundle_dir / f"model_{kind}.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_l2_is_domain_error(self, bundle_dir, capsys, source):
+        if source == "flag":
+            given = ["--lr-l2=-1"]
+        else:
+            config = bundle_dir / "l2.cfg"
+            config.write_text("lr_l2 = -1\n")
+            given = ["--config", str(config)]
+        rc = main(["train", "logreg", "--out", str(bundle_dir), "--lr-epochs", "5", *given])
+        assert rc == 1
+        assert "error: lr_l2 must be >= 0" in capsys.readouterr().err
+        assert not (bundle_dir / "model_logreg.json").exists()
+
+    def test_unallocatable_model_is_domain_error(self, bundle_dir, capsys, monkeypatch):
+        # stands in for a huge --embed-dim: a real one may be granted as
+        # untouched virtual memory and exhaust the host once written
+        def unallocatable(dims, seed):
+            raise MemoryError("Unable to allocate 77.9 TiB for an array")
+
+        monkeypatch.setattr(edusent.neural.train, "init_model", unallocatable)
+        rc = main(["train", "rnn", "--out", str(bundle_dir), *FAST_RNN])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "77.9 TiB" in err and "Traceback" not in err
+        assert not (bundle_dir / "model_rnn.json").exists()
+
     def test_tiny_validation_carve_out_falls_back(self, bundle_dir, capsys):
         # 10% of 30 training examples is 3 rows: too small to steer early
         # stopping, so training must validate on the training split instead
@@ -327,11 +355,16 @@ class TestPredict:
         assert payload["flags"] == []
 
     def test_low_signal_input_flagged(self, trained_dir, capsys):
-        rc = main(["predict", "--out", str(trained_dir),
-                   "--model", str(trained_dir / "model_rnn.json"), ""])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["flags"] == ["low-signal input"]
+        # flagged exactly when no token of the text is in the vocabulary
+        texts = {"": True, "Zorbly quaxed the fnords.": True,
+                 "The lecture was engaging and informative.": False}
+        for kind in ("logreg", "rnn"):
+            for text, low_signal in texts.items():
+                rc = main(["predict", "--out", str(trained_dir),
+                           "--model", str(trained_dir / f"model_{kind}.json"), text])
+                assert rc == 0
+                flags = json.loads(capsys.readouterr().out)["flags"]
+                assert flags == (["low-signal input"] if low_signal else []), (kind, text)
 
     def test_repeated_invocations_identical(self, trained_dir, capsys):
         argv = ["predict", "--out", str(trained_dir),
@@ -422,6 +455,28 @@ class TestSensitivity:
                      "--lr-model", str(trained_dir / "model_logreg.json"),
                      "--rnn-model", str(trained_dir / "model_rnn.json")]) == 0
         assert calls == {"read_json": 2, "file_sha256": 2}
+
+    def test_values_are_predict_values(self, trained_dir, tmp_path, capsys):
+        # the bundle's comments have mixed lengths, so a batched RNN score
+        # can differ from a one-row score in the last bits
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("".join(" ".join(ex.raw_comment.split()) + "\n"
+                                     for ex in load_bundle(trained_dir).examples))
+        assert main(["sensitivity", "--out", str(tmp_path), "--no-plots",
+                     "--sentences", str(sentences),
+                     "--lr-model", str(trained_dir / "model_logreg.json"),
+                     "--rnn-model", str(trained_dir / "model_rnn.json")]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "sensitivity.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) > 20
+        for _, sentence, *cells in rows:
+            for kind, cell in zip(("logreg", "rnn"), cells, strict=True):
+                assert main(["predict", "--out", str(trained_dir),
+                             "--model", str(trained_dir / f"model_{kind}.json"),
+                             sentence]) == 0
+                p = json.loads(capsys.readouterr().out)["p_positive"]
+                assert p == float(cell), (kind, sentence)
 
     def test_default_eight_rows(self, trained_dir, capsys):
         rc = main(["sensitivity", "--out", str(trained_dir),

@@ -10,7 +10,8 @@ from conftest import (
 )
 from edusent.cli import main
 from edusent.errors import ValidationError
-from edusent.pipeline import load_bundle, tfidf_rows
+from edusent.features import tfidf_transform
+from edusent.pipeline import load_bundle
 from edusent.resample import (
     SmoteConfig,
     _dense_sq_norms,
@@ -97,8 +98,9 @@ class TestSmoteSparse:
                      "--k", "300", "--seed", "7"]) == 0
         bundle = load_bundle(out)
         dim = len(bundle.tfidf.vocab)
-        X = tfidf_rows(bundle, bundle.train_ids)
-        y = [bundle.examples[i].label for i in bundle.train_ids]
+        train = bundle.subset(bundle.train_ids)
+        X = tfidf_transform(bundle.tfidf, [ex.tokens for ex in train])
+        y = [ex.label for ex in train]
         dense = dense_rows(X, dim)
         minority_label = min(set(y), key=y.count)
         minority = dense[[lab == minority_label for lab in y]]
