@@ -13,6 +13,11 @@ import json
 import sys
 from pathlib import Path
 
+try:  # numpy >= 2
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from .config import PipelineConfig, build_config
 from .errors import SchemaError, ValidationError, read_utf8
 from .evalmetrics import ConfusionMatrix, RocCurve, evaluation_report
@@ -296,6 +301,11 @@ _CONFIG_KEYS = tuple(PipelineConfig.__dataclass_fields__)
 
 
 def main(argv=None) -> int:
+    # numpy advises transparent huge pages for arrays of 4 MB or more. Whether
+    # the kernel grants them, and when khugepaged fills a region's untouched
+    # pages, depends on the host's state, so a command's peak RSS would differ
+    # from one run to the next; with small pages it depends on the command.
+    _set_madvise_hugepage(False)
     args = build_parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
     try:

@@ -517,3 +517,10 @@ class TestCompare:
         assert lines[0] == "metric,report_a,report_b,delta"
         assert len(lines) == 6
         assert lines[-1].startswith("auc,")
+
+
+def test_main_turns_off_numpy_huge_pages(tmp_path):
+    # a command's peak RSS must not depend on whether the host grants them
+    edusent.cli._set_madvise_hugepage(True)
+    assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+    assert edusent.cli._set_madvise_hugepage(False) is False
