@@ -11,6 +11,7 @@ and scores it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -71,22 +72,15 @@ class Chi2Scores:
 def build_vocabulary(corpus: Sequence[list]) -> Vocabulary:
     """Index every distinct token in first-appearance order and count the
     number of documents each term occurs in."""
-    terms: list = []
-    index: dict = {}
-    doc_freq: list = []
-    for doc in corpus:
-        for term in doc:
-            if term not in index:
-                index[term] = len(terms)
-                terms.append(term)
-                doc_freq.append(0)
-    if not terms:
+    # a Counter keeps first-insertion order, and dict.fromkeys(doc) is doc's
+    # distinct terms in first-appearance order
+    doc_freq = Counter(chain.from_iterable(map(dict.fromkeys, corpus)))
+    if not doc_freq:
         raise ValidationError("empty vocabulary: no tokens in any document")
-    for doc in corpus:
-        for term in set(doc):
-            doc_freq[index[term]] += 1
-    return Vocabulary(terms=terms, doc_freq=np.array(doc_freq, dtype=np.int64),
-                      n_docs=len(corpus), term_to_index=index)
+    return Vocabulary(terms=list(doc_freq),
+                      doc_freq=np.fromiter(doc_freq.values(), dtype=np.int64,
+                                           count=len(doc_freq)),
+                      n_docs=len(corpus))
 
 
 def fit_tfidf(vocab: Vocabulary) -> TfidfModel:
@@ -140,8 +134,8 @@ def chi2_scores(
 ) -> Chi2Scores:
     """Score every term's association with the label from presence sets.
 
-    `presence` holds, per document, the indices of the terms that occur in
-    it at least once.
+    `presence` holds, per document, the distinct indices of the terms that
+    occur in it (a set each, as `presence_sets` gives them).
     """
     if len(presence) != len(labels) or not labels:
         raise ValidationError("presence and labels must be equal-length and non-empty")
@@ -149,17 +143,22 @@ def chi2_scores(
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("chi-squared undefined for one class")
-    a = np.zeros(n_terms)
-    b = np.zeros(n_terms)
-    for doc_terms, y in zip(presence, labels):
-        idx = np.fromiter(set(doc_terms), dtype=np.int64)
-        if idx.size == 0:
-            continue
-        if y == SentimentLabel.POSITIVE:
-            a[idx] += 1
-        else:
-            b[idx] += 1
+    lengths = np.fromiter(map(len, presence), dtype=np.int64, count=len(presence))
+    flat = np.fromiter(chain.from_iterable(presence), dtype=np.int64,
+                       count=int(lengths.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= n_terms):
+        raise ValidationError(f"presence holds a term index outside 0..{n_terms - 1}")
+    positive = np.repeat([y == SentimentLabel.POSITIVE for y in labels], lengths)
+    a = np.bincount(flat[positive], minlength=n_terms).astype(np.float64)
+    b = np.bincount(flat[~positive], minlength=n_terms).astype(np.float64)
     return Chi2Scores(score=chi2_from_counts(a, b, n_pos - a, n_neg - b))
+
+
+def rank_terms(scores: Chi2Scores, vocab: Vocabulary) -> np.ndarray:
+    """Term indices by descending score, ties broken towards the
+    lexicographically smaller term: the order of sorting on
+    (-score, term). Terms must not end in NUL, which numpy strings drop."""
+    return np.lexsort((np.array(vocab.terms), -scores.score))
 
 
 def select_top_k(scores: Chi2Scores, vocab: Vocabulary, k: int) -> Vocabulary:
@@ -170,8 +169,7 @@ def select_top_k(scores: Chi2Scores, vocab: Vocabulary, k: int) -> Vocabulary:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    order = sorted(range(len(vocab)), key=lambda i: (-scores.score[i], vocab.terms[i]))
-    chosen = order[:k]
+    chosen = rank_terms(scores, vocab)[:k]
     return Vocabulary(
         terms=[vocab.terms[i] for i in chosen],
         doc_freq=vocab.doc_freq[chosen],

@@ -83,14 +83,15 @@ def _logits(X: Csr, w: np.ndarray, b: float) -> np.ndarray:
     return np.bincount(X.rows, weights=X.values * w[X.indices], minlength=len(X)) + b
 
 
-def _objective(X: Csr, y: np.ndarray, w: np.ndarray, b: float, l2: float) -> float:
-    z = _logits(X, w, b)
+def _objective(z: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
+    """The objective at (w, b), from the logits z = _logits(X, w, b)."""
     return float(np.mean(_softplus(z) - y * z)) + 0.5 * l2 * float(w @ w)
 
 
-def _gradient(X: Csr, y: np.ndarray, w: np.ndarray, b: float,
+def _gradient(X: Csr, z: np.ndarray, y: np.ndarray, w: np.ndarray,
               l2: float) -> tuple[np.ndarray, float]:
-    resid = (sigmoid(_logits(X, w, b)) - y) / len(y)
+    """The gradient at (w, b), from the logits z = _logits(X, w, b)."""
+    resid = (sigmoid(z) - y) / len(y)
     gw = np.bincount(X.indices, weights=X.values * resid[X.rows], minlength=w.shape[0])
     gw += l2 * w
     return gw, float(np.sum(resid))
@@ -104,7 +105,8 @@ def lr_objective(
     l2: float,
 ) -> float:
     """Mean BCE + (l2/2)*||w||^2 at (w, b), computed from logits stably."""
-    return _objective(X, _targets(X, y, w.shape[0]), w, b, l2)
+    targets = _targets(X, y, w.shape[0])
+    return _objective(_logits(X, w, b), targets, w, l2)
 
 
 def lr_gradient(
@@ -116,7 +118,8 @@ def lr_gradient(
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of lr_objective: mean (sigma(z) - y) x + l2 w, and the
     bias part mean (sigma(z) - y)."""
-    return _gradient(X, _targets(X, y, w.shape[0]), w, b, l2)
+    targets = _targets(X, y, w.shape[0])
+    return _gradient(X, _logits(X, w, b), targets, w, l2)
 
 
 def train_lr(
@@ -148,18 +151,20 @@ def train_lr(
         w = np.zeros(dim)
         b = 0.0
     lr = cfg.learning_rate
-    loss = _objective(X, targets, w, b, cfg.l2)
+    z = _logits(X, w, b)  # the logits at (w, b), scored once per accepted step
+    loss = _objective(z, targets, w, cfg.l2)
     history = [loss]
     for _ in range(cfg.epochs):
-        gw, gb = _gradient(X, targets, w, b, cfg.l2)
+        gw, gb = _gradient(X, z, targets, w, cfg.l2)
         for _attempt in range(64):
             w_new = w - lr * gw
             b_new = b - lr * gb
-            new_loss = _objective(X, targets, w_new, b_new, cfg.l2)
+            z_new = _logits(X, w_new, b_new)
+            new_loss = _objective(z_new, targets, w_new, cfg.l2)
             if new_loss <= loss + 1e-9:
                 break
             lr *= 0.5
-        w, b, loss = w_new, b_new, new_loss
+        w, b, z, loss = w_new, b_new, z_new, new_loss
         history.append(loss)
     return LinearTrainResult(model=LinearModel(weights=w, bias=b), loss_history=history)
 

@@ -24,6 +24,7 @@ dict, `RnnModel.params`, keyed by the names the model file uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,9 +95,24 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
+#: most float64 values one array can hold: its bytes must fit in an intp
+_MAX_ARRAY_SIZE = np.iinfo(np.intp).max // 8
+
+
 def init_model(dims: RnnDims, seed: int) -> RnnModel:
     """A fresh model: Glorot-uniform weights drawn from `seed` in the order
-    embedding, fwd, bwd, attention, and a zero output head."""
+    embedding, fwd, bwd, attention, and a zero output head.
+
+    Dimensions that would make a parameter array larger than any array can
+    be are a ValidationError naming the largest dimension.
+    """
+    for name, shape in parameter_shapes(dims).items():
+        if math.prod(shape) > _MAX_ARRAY_SIZE:
+            field, value = max(((f, getattr(dims, f)) for f in
+                                ("vocab_size", "embed_dim", "hidden", "attn_dim")),
+                               key=lambda fv: fv[1])
+            raise ValidationError(f"{field} {value} is too large: parameter {name!r} "
+                                  f"would be a {shape} array, past numpy's largest")
     rng = np.random.default_rng(seed)
     h, e, a = dims.hidden, dims.embed_dim, dims.attn_dim
     emb = _glorot(rng, dims.vocab_size + 1, e, (dims.vocab_size + 1, e))

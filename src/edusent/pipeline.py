@@ -39,6 +39,7 @@ from .features import (
     chi2_scores,
     fit_tfidf,
     presence_sets,
+    rank_terms,
     select_top_k,
     tfidf_transform,
 )
@@ -321,17 +322,17 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    encode = json.JSONEncoder(sort_keys=True).encode
     _write_atomic(out / "examples.jsonl", (
-        json.dumps({"id": i, "label": str(ex.label), "raw": ex.raw_comment,
-                    "tokens": ex.tokens}, sort_keys=True) + "\n"
+        encode({"id": i, "label": str(ex.label), "raw": ex.raw_comment,
+                "tokens": ex.tokens}) + "\n"
         for i, ex in enumerate(examples)))
 
     save_tfidf_model(tfidf, out / "vocab.json")
 
-    order = sorted(range(len(vocab_full)),
-                   key=lambda i: (-scores.score[i], vocab_full.terms[i]))
+    terms, chi2 = vocab_full.terms, scores.score.tolist()
     _write_atomic(out / "chi2_report.csv", ("term,score\n", *(
-        f"{vocab_full.terms[i]},{float(scores.score[i])!r}\n" for i in order)))
+        f"{terms[i]},{chi2[i]!r}\n" for i in rank_terms(scores, vocab_full).tolist())))
 
     write_json(out / "split.json", {
         "version": 1, "seed": cfg.seed, "fraction": cfg.fraction,

@@ -20,7 +20,8 @@ from .errors import ValidationError, read_utf8
 #: a token sequence is just an ordered list of lowercase strings
 TokenSequence = list
 
-_TOKEN_SPLIT = re.compile(r"[^a-z']+")
+#: a token: two or more of [a-z'], first and last a letter
+_TOKEN = re.compile(r"[a-z][a-z']*[a-z]")
 _TOKEN_SHAPE = re.compile(r"^[a-z][a-z']*$")
 _VOWELS = set("aeiou")
 
@@ -72,13 +73,18 @@ class LemmaRuleTable:
 
     suffix_rules: list
     exceptions: dict
-    #: token -> lemma, filled as `lemmatize` meets each distinct token
+    #: token -> lemma, filled as `lemmatize` and `preprocess` meet each distinct token
     lemmas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: last letter -> the rules whose suffix ends in it, in file order
+    rules_by_last: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        for suffix, replacement, min_stem in self.suffix_rules:
+        for rule in self.suffix_rules:
+            suffix, replacement, min_stem = rule
             if not suffix or min_stem < 0:
                 raise ValidationError(f"malformed rule ({suffix!r}, {replacement!r}, {min_stem})")
+            self.rules_by_last.setdefault(suffix[-1], []).append(rule)
         for word, lemma in self.exceptions.items():
             if not _TOKEN_SHAPE.match(word) or not _TOKEN_SHAPE.match(lemma):
                 raise ValidationError(f"malformed exception {word!r} -> {lemma!r}")
@@ -115,14 +121,10 @@ def tokenize(text: str) -> TokenSequence:
     """Lowercase and split on anything that is not a letter or apostrophe.
 
     Boundary apostrophes are stripped (interior ones kept, so "don't"
-    survives) and tokens shorter than 2 characters are dropped.
+    survives) and tokens shorter than 2 characters are dropped: a token is
+    a run of letters and apostrophes from its first letter to its last.
     """
-    tokens = []
-    for piece in _TOKEN_SPLIT.split(text.lower()):
-        piece = piece.strip("'")
-        if len(piece) >= 2 and _TOKEN_SHAPE.match(piece):
-            tokens.append(piece)
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 def remove_stopwords(seq: TokenSequence, sw: StopwordList) -> TokenSequence:
@@ -159,11 +161,12 @@ def _apply_rules(token: str, rules: LemmaRuleTable) -> str:
 
 
 def _rewrite(token: str, rules: LemmaRuleTable) -> str:
-    """One rewrite: the exception for `token`, else the first matching rule."""
+    """One rewrite: the exception for `token`, else the first matching rule.
+    Only rules whose suffix ends in the token's last letter can match."""
     hit = rules.exceptions.get(token)
     if hit is not None:
         return hit
-    for suffix, replacement, min_stem in rules.suffix_rules:
+    for suffix, replacement, min_stem in rules.rules_by_last.get(token[-1:], ()):
         if not token.endswith(suffix):
             continue
         stem = token[: len(token) - len(suffix)]
@@ -197,6 +200,17 @@ def preprocess(
     """Full cleaning pipeline: tokenize, drop stopwords, lemmatize.
 
     A final stopword sweep keeps the output clean when a lemma lands on a
-    stopword (e.g. "having" -> "have").
+    stopword (e.g. "having" -> "have"). All three steps run in one loop
+    over the tokens, with the lemmas memoised as in `lemmatize`.
     """
-    return remove_stopwords(lemmatize(remove_stopwords(tokenize(text), sw), rules), sw)
+    words, lemmas = sw.words, rules.lemmas
+    out = []
+    for token in tokenize(text):
+        if token in words:
+            continue
+        lemma = lemmas.get(token)
+        if lemma is None:
+            lemma = lemmas[token] = _apply_rules(token, rules)
+        if lemma not in words:
+            out.append(lemma)
+    return out

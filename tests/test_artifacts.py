@@ -3,6 +3,7 @@
 survives load -> save byte for byte."""
 
 import errno
+import hashlib
 import json
 import shutil
 from functools import reduce
@@ -252,6 +253,30 @@ def test_sample_files_resave_byte_identical(bundle_dir, tmp_path):
     save_linear_model(model, tmp_path / "model_logreg.json", ref)
     for name in ("vocab.json", "model_logreg.json"):
         assert (tmp_path / name).read_bytes() == (bundle_dir / name).read_bytes()
+
+
+#: SHA-256 of the bundle files that `prepare --k 5000 --seed 0` writes from
+#: the sample CSV. vocab.json is pinned by its terms and df only: its idf
+#: goes through np.log, whose last bit may differ between hosts.
+SAMPLE_BUNDLE_SHA256 = {
+    "examples.jsonl": "75e0a910bb0d83a96f709eb2f41a87de7c5b039ccfb66bd4d6bce5dad86fa854",
+    "chi2_report.csv": "4aae938d4b075f389a833e5474d314c6f3f7c35da2493be32013a73eafed185f",
+    "split.json": "63d3d1092ea3362eddbe83b2eed3036f1867b7e67d90e217b32046c418123114",
+    "balance.json": "21063b90c3c5ff602003f1def113b481a0b522c87dedc00a032489fb5671f037",
+    "drop_report.json": "5717a6114aa30b2801dc7c89bc18acc5bd180f0bfe75e51c8b93e550a3b4fbf2",
+    "vocab.json terms, df": "23472ecc577fa88b0f0b32ec99e6824604045b13b5d37d64157bd2d56c2c0dd9",
+}
+
+
+def test_sample_bundle_bytes_are_pinned(sample_csv, tmp_path):
+    assert main(["prepare", "--data", str(sample_csv), "--out", str(tmp_path),
+                 "--k", "5000", "--seed", "0"]) == 0
+    vocab = json.loads((tmp_path / "vocab.json").read_text(encoding="utf-8"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SAMPLE_BUNDLE_SHA256 if not name.startswith("vocab")}
+    got["vocab.json terms, df"] = hashlib.sha256(
+        json.dumps([vocab["terms"], vocab["df"]]).encode()).hexdigest()
+    assert got == SAMPLE_BUNDLE_SHA256
 
 
 # --- fuzzing: a mutated artifact never makes a command raise -----------------

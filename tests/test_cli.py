@@ -287,6 +287,19 @@ class TestTrain:
         assert err.startswith("error: ") and "77.9 TiB" in err and "Traceback" not in err
         assert not (bundle_dir / "model_rnn.json").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--embed-dim", "embed_dim"),
+                                             ("--hidden-dim", "hidden"),
+                                             ("--attn-dim", "attn_dim")])
+    def test_impossible_model_dimension_is_domain_error(self, bundle_dir, capsys,
+                                                        flag, field):
+        # no array this large can exist, so the check allocates nothing
+        rc = main(["train", "rnn", "--out", str(bundle_dir), flag, "100000000000000000000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {field} 100000000000000000000 is too large")
+        assert "Traceback" not in err
+        assert not (bundle_dir / "model_rnn.json").exists()
+
     def test_tiny_validation_carve_out_falls_back(self, bundle_dir, capsys):
         # 10% of 30 training examples is 3 rows: too small to steer early
         # stopping, so training must validate on the training split instead

@@ -9,11 +9,14 @@ from hypothesis import given, strategies as st
 from conftest import chi2_bruteforce, make_labels
 from edusent.errors import ValidationError
 from edusent.features import (
+    Chi2Scores,
+    Vocabulary,
     build_vocabulary,
     chi2_from_counts,
     chi2_scores,
     fit_tfidf,
     presence_sets,
+    rank_terms,
     select_top_k,
     tfidf_transform,
 )
@@ -44,6 +47,19 @@ class TestVocabulary:
     def test_within_doc_repeats_count_once(self):
         v = build_vocabulary([["a", "a", "a"], ["a", "b"]])
         assert int(v.doc_freq[v.term_to_index["a"]]) == 2
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=12))
+    def test_equals_two_pass_definition(self, corpus):
+        terms = []
+        for t in (t for doc in corpus for t in doc):
+            if t not in terms:
+                terms.append(t)
+        if not terms:
+            return
+        v = build_vocabulary(corpus)
+        assert v.terms == terms
+        assert v.doc_freq.tolist() == [sum(t in doc for doc in corpus) for t in terms]
+        assert v.term_to_index == {t: i for i, t in enumerate(terms)}
 
 
 def tfidf_reference(model, doc) -> list:
@@ -181,6 +197,25 @@ class TestChi2:
         assert scores.score[v.term_to_index["bad"]] == pytest.approx(
             chi2_bruteforce(1, 2, 1, 0))
 
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=8), st.booleans()),
+                    min_size=1, max_size=20))
+    def test_counts_equal_a_per_document_loop(self, rows):
+        labels = make_labels([y for _, y in rows])
+        if len(set(labels)) < 2:
+            return
+        a, b = np.zeros(6), np.zeros(6)
+        for doc, y in rows:
+            for i in set(doc):
+                (a if y else b)[i] += 1
+        n_pos = sum(y for _, y in rows)
+        want = chi2_from_counts(a, b, n_pos - a, len(rows) - n_pos - b)
+        got = chi2_scores([set(doc) for doc, _ in rows], labels, 6).score
+        assert got.tobytes() == want.tobytes()
+
+    def test_index_outside_vocabulary(self):
+        with pytest.raises(ValidationError, match="outside"):
+            chi2_scores([{0}, {2}], make_labels([1, 0]), 2)
+
     def test_single_class_error(self):
         corpus = [["a"], ["b"]]
         v = build_vocabulary(corpus)
@@ -227,6 +262,22 @@ class TestSelectTopK:
         inside = min(s.score[terms.index(t)] for t in out.terms)
         outside = max(s.score[terms.index(t)] for t in terms if t not in out.term_to_index)
         assert inside >= outside
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+                              st.text(st.characters(blacklist_characters="\0"))),
+                    max_size=30, unique_by=lambda pair: pair[1]))
+    def test_rank_terms_sorts_on_score_then_term(self, pairs):
+        terms = [t for _, t in pairs]
+        score = np.array([x for x, _ in pairs])
+        v = Vocabulary(terms=terms, doc_freq=np.ones(len(terms), np.int64), n_docs=1)
+        want = sorted(range(len(terms)), key=lambda i: (-score[i], terms[i]))
+        assert rank_terms(Chi2Scores(score), v).tolist() == want
+
+    def test_rank_terms_ties_and_signed_zeros(self):
+        terms = ["d", "b", "c", "a", "e"]
+        v = Vocabulary(terms=terms, doc_freq=np.ones(5, np.int64), n_docs=1)
+        score = Chi2Scores(np.array([0.0, 3.0, -0.0, 0.0, 3.0]))
+        assert [terms[i] for i in rank_terms(score, v)] == ["b", "e", "a", "c", "d"]
 
     def test_bad_k(self):
         v, s = self._vocab_scores()

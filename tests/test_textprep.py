@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from edusent import textprep
 from edusent.errors import ValidationError
 from edusent.textprep import (
+    CVC_E,
     LemmaRuleTable,
     StopwordList,
     lemmatize,
@@ -10,6 +14,32 @@ from edusent.textprep import (
     remove_stopwords,
     tokenize,
 )
+
+
+def split_strip_tokenize(text):
+    """The tokenizer as first defined: split on non-[a-z'] runs, strip
+    boundary apostrophes, keep pieces of 2+ characters shaped [a-z][a-z']*."""
+    tokens = []
+    for piece in re.split(r"[^a-z']+", text.lower()):
+        piece = piece.strip("'")
+        if len(piece) >= 2 and re.match(r"^[a-z][a-z']*$", piece):
+            tokens.append(piece)
+    return tokens
+
+
+def full_scan_rewrite(token, rules):
+    """One rewrite that tries every suffix rule in file order."""
+    hit = rules.exceptions.get(token)
+    if hit is not None:
+        return hit
+    for suffix, replacement, min_stem in rules.suffix_rules:
+        stem = token[: len(token) - len(suffix)]
+        if not token.endswith(suffix) or len(stem) < min_stem:
+            continue
+        if replacement == CVC_E:
+            return stem + ("e" if textprep._ends_cvc(stem) else "")
+        return stem if replacement == "-" else stem + replacement
+    return token
 
 
 class TestTokenize:
@@ -38,6 +68,12 @@ class TestTokenize:
             assert len(t) >= 2
             assert t[0].isalpha()
             assert all(c.isalpha() and c.islower() or c == "'" for c in t)
+
+    @given(st.text(max_size=200) | st.text(alphabet="ab'- .\u0130\u212a", max_size=40))
+    @example("'a' 'ab' a'' ''b'c'' don't x'y z")
+    @example("\u0130stanbul \u212aelvin")  # lowercase to i + combining dot, to k
+    def test_equals_split_strip_definition(self, text):
+        assert tokenize(text) == split_strip_tokenize(text)
 
 
 class TestStopwords:
@@ -150,6 +186,21 @@ class TestLemmatize:
         path.write_text("a\taa\t0\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="keep rewriting"):
             lemmatize(["ba"], LemmaRuleTable.load(path))
+
+    @given(st.lists(st.from_regex(r"[a-z][a-z']{0,11}", fullmatch=True), max_size=40))
+    @example(["grading", "classes", "studies", "surely", "taking", "don't", "aaased"])
+    def test_rules_grouped_by_last_letter_match_a_full_scan(self, tokens):
+        custom = LemmaRuleTable(
+            suffix_rules=[("ing", CVC_E, 2), ("ng", "-", 0), ("g", "x", 1), ("ies", "y", 1),
+                          ("s", "-", 3), ("es", "-", 1), ("y", "ie", 1), ("'s", "-", 1)],
+            exceptions={"went": "go"})
+        for table in (LemmaRuleTable.load(), custom):
+            for token in tokens:
+                assert textprep._rewrite(token, table) == full_scan_rewrite(token, table)
+            grouped = [textprep._apply_rules(t, table) for t in tokens]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(textprep, "_rewrite", full_scan_rewrite)
+                assert [textprep._apply_rules(t, table) for t in tokens] == grouped
 
     def test_custom_rules_file(self, tmp_path):
         path = tmp_path / "rules.tsv"
