@@ -1,10 +1,20 @@
 """Mini-batch Adam training for the sequence model.
 
 Class imbalance is handled through the loss weights (synthetic
-oversampling has no meaning for token sequences), batches are shuffled by
-a seeded generator, and early stopping tracks validation F1. Each batch's
-gradient dict from `backward` goes straight into `Adam.step`. The returned
-model is the best-validation snapshot.
+oversampling has no meaning for token sequences), and early stopping
+tracks validation F1. The returned model is the best-validation snapshot.
+
+Each epoch's batches come from `batch_order`, a seeded "sortish" order
+(Khomenko et al., arXiv:1708.05604): the rows are shuffled, cut into pools
+of `POOL_BATCHES` batches, each pool is sorted by clipped length and cut
+into batches, and the batch order is shuffled. Every LSTM step of a batch
+runs to its longest row, so batches of rows of similar length take far
+fewer steps for the same cells, while the pools and the two shuffles keep
+the batches' contents and order random.
+
+Each batch's forward cache lives only inside `_loss_and_grads`, which
+hands back the loss and the gradient dict for `Adam.step`; so one cache is
+alive at a time, and none is alive while the next batch's forward runs.
 """
 
 from __future__ import annotations
@@ -18,7 +28,15 @@ from ..errors import ValidationError
 from ..evalmetrics import classification_metrics, confusion
 from ..ingest import SentimentLabel
 from .backprop import backward, weighted_bce
-from .model import RnnDims, RnnModel, build_batch, forward, init_model, predict_sequences
+from .model import (
+    RnnDims,
+    RnnModel,
+    TokenBatch,
+    build_batch,
+    forward,
+    init_model,
+    predict_sequences,
+)
 
 
 @dataclass
@@ -92,6 +110,43 @@ class Adam:
             p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
+#: batches per pool that `batch_order` sorts by length; a larger pool gives
+#: batches of closer lengths and a less random batch composition
+POOL_BATCHES = 100
+
+
+def batch_order(lengths: np.ndarray, batch_size: int, rng: np.random.Generator) -> list:
+    """One epoch's batches, as arrays of row indices, from the rows' clipped
+    lengths.
+
+    The rows are permuted by `rng` and cut into pools of `POOL_BATCHES`
+    batches; each pool is stable-sorted by length, longest first, and cut
+    into batches of `batch_size` rows; then `rng` shuffles the batch order.
+    Every row is in exactly one batch, and there are ceil(n / batch_size)
+    batches, as in plain shuffled batching; only the last pool's last batch
+    can be short.
+    """
+    perm = rng.permutation(len(lengths))
+    pool = POOL_BATCHES * batch_size
+    batches = []
+    for start in range(0, len(perm), pool):
+        part = perm[start : start + pool]
+        part = part[np.argsort(-lengths[part], kind="stable")]
+        batches.extend(part[i : i + batch_size] for i in range(0, len(part), batch_size))
+    return [batches[i] for i in rng.permutation(len(batches))]
+
+
+def _loss_and_grads(model: RnnModel, batch: TokenBatch, cfg: NeuralTrainConfig):
+    """(loss, gradient dict) of one batch, or (loss, None) when the loss is
+    not finite. The forward cache is freed on return, before the caller
+    steps and before the next batch's forward allocates its own."""
+    cache = forward(model, batch)
+    loss = weighted_bce(cache.probs, batch.labels, cfg.weight_pos, cfg.weight_neg)
+    if not np.isfinite(loss):
+        return loss, None
+    return loss, backward(model, cache, cfg.weight_pos, cfg.weight_neg)
+
+
 def _val_f1(labels: np.ndarray, probs: np.ndarray) -> float:
     """F1 of the positive class at threshold 0.5, as `evalmetrics` reports it."""
     y_true = [SentimentLabel(int(v)) for v in labels]
@@ -141,18 +196,16 @@ def train_rnn(
     best_model = model.copy()
     stall = 0
     n = len(train)
+    lengths = np.array([min(len(seq), dims.max_len) for seq in train.sequences])
     for epoch in range(cfg.epochs):
-        perm = shuffle_rng.permutation(n)
         total = 0.0
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = perm[start : start + cfg.batch_size]
+        for bi, idx in enumerate(batch_order(lengths, cfg.batch_size, shuffle_rng)):
             batch = build_batch([train.sequences[j] for j in idx],
                                 train.labels[idx], dims.max_len)
-            cache = forward(model, batch)
-            loss = weighted_bce(cache.probs, batch.labels, cfg.weight_pos, cfg.weight_neg)
-            if not np.isfinite(loss):
+            loss, grads = _loss_and_grads(model, batch, cfg)
+            if grads is None:
                 raise ValidationError(f"training diverged (loss not finite) at epoch {epoch}, batch {bi}")
-            opt.step(backward(model, cache, cfg.weight_pos, cfg.weight_neg))
+            opt.step(grads)
             model.params["embedding"][0] = 0.0
             total += loss * len(idx)
         result.epoch_losses.append(total / n)

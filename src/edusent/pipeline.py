@@ -297,6 +297,15 @@ def load_lexicons(cfg: PipelineConfig) -> tuple[StopwordList, LemmaRuleTable]:
     return StopwordList.load(cfg.stopwords), LemmaRuleTable.load(cfg.lemma_rules)
 
 
+def _example_line(i: int, label: str, raw: str, tokens: Sequence[str]) -> str:
+    """One examples.jsonl line: the bytes `json.JSONEncoder(sort_keys=True)`
+    writes for {"id", "label", "raw", "tokens"}, without building an encoder
+    and sorting keys per line."""
+    esc = json.encoder.encode_basestring_ascii
+    return (f'{{"id": {i}, "label": {esc(label)}, "raw": {esc(raw)}, '
+            f'"tokens": [{", ".join(map(esc, tokens))}]}}\n')
+
+
 def prepare_bundle(cfg: PipelineConfig) -> dict:
     """Run ingestion + cleaning + featurization and write the bundle;
     returns the drop report it writes to drop_report.json."""
@@ -322,10 +331,8 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    encode = json.JSONEncoder(sort_keys=True).encode
     _write_atomic(out / "examples.jsonl", (
-        encode({"id": i, "label": str(ex.label), "raw": ex.raw_comment,
-                "tokens": ex.tokens}) + "\n"
+        _example_line(i, str(ex.label), ex.raw_comment, ex.tokens)
         for i, ex in enumerate(examples)))
 
     save_tfidf_model(tfidf, out / "vocab.json")

@@ -279,6 +279,22 @@ def test_sample_bundle_bytes_are_pinned(sample_csv, tmp_path):
     assert got == SAMPLE_BUNDLE_SHA256
 
 
+#: any code point, lone surrogates included, with the ones JSON escapes
+#: (quote, backslash, control characters) and astral characters drawn often
+_JSON_CHARS = st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\ud800\udfff\U0001f600'),
+                        st.characters(exclude_categories=()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, 10**9), label=st.text(_JSON_CHARS), raw=st.text(_JSON_CHARS),
+       tokens=st.lists(st.text(_JSON_CHARS), max_size=6))
+def test_example_line_is_the_json_encoders(i, label, raw, tokens):
+    """An examples.jsonl line has the bytes json's sorted-key encoder gives."""
+    want = json.JSONEncoder(sort_keys=True).encode(
+        {"id": i, "label": label, "raw": raw, "tokens": tokens}) + "\n"
+    assert edusent.pipeline._example_line(i, label, raw, tokens) == want
+
+
 # --- fuzzing: a mutated artifact never makes a command raise -----------------
 
 FUZZ_READERS = {

@@ -1,6 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import edusent.neural.train as train_module
 from conftest import toy_template_corpus
 from edusent.errors import ValidationError
 from edusent.neural import (
@@ -12,6 +16,7 @@ from edusent.neural import (
     predict_sequences,
     train_rnn,
 )
+from edusent.neural.train import POOL_BATCHES, batch_order
 
 
 def _encode(token_docs):
@@ -204,3 +209,77 @@ def test_adam_two_steps_match_the_bias_corrected_formula():
             p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         np.testing.assert_array_equal(model.params[name], p, err_msg=name)
     assert opt.t == 2
+
+
+# --- the batch order: shuffled pools, each sorted by length ------------------
+
+def _unsorted_steps(lengths, batch_size, seed):
+    """LSTM steps of one epoch of plain shuffled batches from the same first
+    permutation: the sum of each batch's longest row."""
+    perm = np.random.default_rng(seed).permutation(len(lengths))
+    return sum(int(lengths[perm[i : i + batch_size]].max())
+               for i in range(0, len(perm), batch_size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 1000), longest=st.integers(1, 30), batch_size=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_order_is_shuffled_pools_sorted_by_length(n, longest, batch_size, seed):
+    # rows up to `longest` tokens: few distinct lengths make many ties; up to
+    # 1000 rows in batches of up to 40 make one pool or several
+    lengths = np.random.default_rng([seed, 1]).integers(1, longest + 1, size=n)
+    batches = batch_order(lengths, batch_size, np.random.default_rng(seed))
+
+    # the batches partition the rows, ceil(n / b) of them, none over b rows
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+    assert len(batches) == -(-n // batch_size)
+    assert all(1 <= len(b) <= batch_size for b in batches)
+
+    # each pool of the first permutation, stable-sorted longest first and cut
+    # into batches; the second draw of the same generator orders the batches
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()
+    pool = POOL_BATCHES * batch_size
+    expected = []
+    for start in range(0, n, pool):
+        part = sorted(perm[start : start + pool], key=lambda r: -lengths[r])
+        expected.extend(part[i : i + batch_size] for i in range(0, len(part), batch_size))
+    shuffle = rng.permutation(len(expected))
+    assert [b.tolist() for b in batches] == [expected[i] for i in shuffle]
+
+    # the same seed gives the same order
+    again = batch_order(lengths, batch_size, np.random.default_rng(seed))
+    assert [b.tolist() for b in again] == [b.tolist() for b in batches]
+
+    # never more LSTM steps than plain shuffled batches of the same rows
+    assert (sum(int(lengths[b].max()) for b in batches)
+            <= _unsorted_steps(lengths, batch_size, seed))
+
+
+def test_one_forward_cache_alive_at_a_time(monkeypatch):
+    """Each batch's forward cache is freed before `Adam.step` runs and before
+    the next batch's forward: a weak reference to every earlier cache is dead
+    by then."""
+    real_forward, real_step = train_module.forward, Adam.step
+    caches = []
+
+    def assert_earlier_caches_dead():
+        assert all(ref() is None for ref in caches), "an earlier forward cache is alive"
+
+    def tracked_forward(model, batch):
+        assert_earlier_caches_dead()
+        cache = real_forward(model, batch)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    def tracked_step(opt, grads):
+        assert_earlier_caches_dead()
+        real_step(opt, grads)
+
+    monkeypatch.setattr(train_module, "forward", tracked_forward)
+    monkeypatch.setattr(Adam, "step", tracked_step)
+    ds, vocab = _toy_dataset()
+    cfg = NeuralTrainConfig(epochs=2, batch_size=8, learning_rate=0.01, seed=8, patience=0)
+    train_rnn(ds, ds, cfg, _dims(vocab))
+    assert len(caches) == cfg.epochs * -(-len(ds) // cfg.batch_size)
+    assert_earlier_caches_dead()
