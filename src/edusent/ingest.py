@@ -45,13 +45,6 @@ class SentimentLabel(IntEnum):
     def __str__(self) -> str:
         return "Positive" if self is SentimentLabel.POSITIVE else "Negative"
 
-    @classmethod
-    def from_string(cls, s: str) -> "SentimentLabel":
-        try:
-            return {"positive": cls.POSITIVE, "negative": cls.NEGATIVE}[s.strip().lower()]
-        except KeyError:
-            raise ValidationError(f"unknown sentiment label: {s!r}") from None
-
 
 @dataclass
 class FeedbackRecord:

@@ -72,6 +72,7 @@ def _direction_backward(
                                    dc_tilde * i * (1.0 - g ** 2)], axis=1)
         dh_carry[:n] = da[rows] @ U
         dc_carry[:n] = dc_tilde * f
+    del c_prev
 
     grads[f"{side}.W"] = da.T @ cache.x
     grads[f"{side}.U"] = da.T @ h_prev
@@ -105,11 +106,13 @@ def backward(
     dctx = dlogit[row, None] * params["out.w"]
     dalpha = np.einsum("ij,ij->i", H, dctx)
     dH = alphas[:, None] * dctx
+    del dctx
     de = alphas * (dalpha - np.bincount(row, alphas * dalpha, B)[row])
     grads["attn.v_a"] += de @ u
     dpre = de[:, None] * params["attn.v_a"] * (1.0 - u ** 2)
     grads["attn.W_a"] += dpre.T @ H
     dH += dpre @ params["attn.W_a"]
+    del dpre
 
     # split the concatenated states and run BPTT per direction
     dx = sum(_direction_backward(params, side, cache, H_dir, dH_dir, grads)

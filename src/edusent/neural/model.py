@@ -82,13 +82,6 @@ class TokenBatch:
         if np.any(np.diff(self.mask, axis=1) > 0.0):
             raise ValidationError("padding must follow a row's real tokens")
 
-    def in_length_order(self) -> tuple[np.ndarray, "TokenBatch"]:
-        """(order, batch of rows order[0], order[1], ...): longest row first,
-        stable on ties."""
-        order = np.argsort(-np.count_nonzero(self.ids, axis=1), kind="stable")
-        return order, TokenBatch(ids=self.ids[order], mask=self.mask[order],
-                                 labels=self.labels[order])
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -221,12 +214,13 @@ def cell_rows(steps: np.ndarray) -> np.ndarray:
 
 
 def _cells(model: RnnModel, batch: TokenBatch):
-    """(order, steps, ids, x): the batch's length order, the (L + 1,) offset of
-    each position's cells, and the cells' ids and embeddings, position-major."""
-    order, batch = batch.in_length_order()
-    real = batch.mask.T > 0.0
+    """(order, steps, ids, x): the batch's length order (longest row first,
+    stable on ties), the (L + 1,) offset of each position's cells, and the
+    cells' ids and embeddings, position-major."""
+    order = np.argsort(-np.count_nonzero(batch.ids, axis=1), kind="stable")
+    real = batch.mask[order].T > 0.0
     steps = np.concatenate(([0], np.cumsum(np.count_nonzero(real, axis=1))))
-    ids = batch.ids.T[real]
+    ids = batch.ids[order].T[real]
     return order, steps, ids, embed(model, ids)
 
 

@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,16 +111,18 @@ def write_csv(path: Union[str, Path], header: list, rows: list) -> None:
     write_text(path, buf.getvalue())
 
 
-def read_json(path: Union[str, Path], versions: tuple = (1,)) -> dict:
+def read_json(path: Union[str, Path], versions: Optional[tuple] = (1,)) -> dict:
     """Parse a JSON file that edusent wrote: an object whose "version" is one
-    of `versions`."""
+    of `versions`, or any object if `versions` is None."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"missing file: {path}") from exc
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") not in versions:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path} is not an edusent JSON object")
+    if versions is not None and payload.get("version") not in versions:
         names = " or ".join(map(str, versions))
         raise SchemaError(f"{path} is not a version-{names} edusent JSON object")
     return payload
@@ -175,15 +177,6 @@ def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str
     })
 
 
-def _file_blocks(name: str, shape: tuple) -> list:
-    """The version-1 file entries of one parameter, as (file name, shape):
-    a fused gate tensor is stored as its i, f, o, g row blocks under
-    `<name>_<gate>`."""
-    if name.startswith(("fwd.", "bwd.")):
-        return [(f"{name}_{gate}", (shape[0] // 4, *shape[1:])) for gate in "ifog"]
-    return [(name, shape)]
-
-
 def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
     """Write a version-2 model file: each parameter under its own name as
     [shape, base64 of its little-endian float64 bytes]."""
@@ -199,18 +192,15 @@ def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> N
     })
 
 
-def _tensor_entry(tensors: dict, name: str, shape: tuple, path):
-    """The data of `tensors[name]` once its stored shape is `shape`: shapes
-    are checked before anything is allocated from them."""
+def _decoded(tensors: dict, name: str, shape: tuple, path) -> np.ndarray:
+    """`tensors[name]` of a version-2 file: its stored shape is `shape`,
+    checked before anything is decoded or allocated, and its data is base64
+    of exactly prod(`shape`) finite little-endian float64 values. Returns an
+    owned, writable C-ordered array."""
     entry = tensors.get(name)
     if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == list(shape)):
         raise SchemaError(f"{path} lacks a {list(shape)} tensor {name!r}")
-    return entry[1]
-
-
-def _decoded(data, what: str, shape: tuple) -> np.ndarray:
-    """A version-2 tensor: base64 of exactly prod(`shape`) finite
-    little-endian float64 values, as an owned, writable C-ordered array."""
+    what, data = f"{path}: tensor {name!r}", entry[1]
     if not isinstance(data, str):
         raise SchemaError(f"{what} holds a {type(data).__name__}, not base64 text")
     try:
@@ -235,37 +225,30 @@ def _rnn_model(payload: dict, path) -> RnnModel:
     if not isinstance(tensors, dict):
         raise SchemaError(f"{path}: tensors are not an object")
     dims = RnnDims(**dims)
-    arrays = {}
-    for name, shape in parameter_shapes(dims).items():
-        if payload["version"] == 2:
-            arrays[name] = _decoded(_tensor_entry(tensors, name, shape, path),
-                                    f"{path}: tensor {name!r}", shape)
-        else:  # decimal lists, a fused gate tensor split into its row blocks
-            blocks = [_array(_tensor_entry(tensors, file_name, block_shape, path),
-                             f"{path}: tensor {file_name!r}", (math.prod(block_shape),))
-                      for file_name, block_shape in _file_blocks(name, shape)]
-            arrays[name] = np.concatenate(blocks).reshape(shape)
-    return RnnModel(dims, arrays)
+    return RnnModel(dims, {name: _decoded(tensors, name, shape, path)
+                           for name, shape in parameter_shapes(dims).items()})
 
 
 def load_model(path: Union[str, Path]) -> tuple:
     """Parse a model file once and build the model its `kind` names: a
-    version-1 logreg file, or a version-1 or version-2 rnn file.
+    version-1 logreg file or a version-2 rnn file. Any other kind and
+    version is a SchemaError that says to train the model again.
 
     Returns (kind, model, vocab_ref).
     """
-    payload = read_json(path, versions=(1, 2))
-    kind = payload.get("kind")
+    payload = read_json(path, versions=None)
+    kind, version = payload.get("kind"), payload.get("version")
+    if (kind, version) not in (("logreg", 1), ("rnn", 2)):
+        raise SchemaError(f"{path} is a version-{version} model file of kind {kind!r}, "
+                          "but only version-1 logreg and version-2 rnn files are read: "
+                          "re-run train to write it again")
     if kind == "rnn":
         model = _rnn_model(payload, path)
-    elif kind == "logreg" and payload["version"] == 1:
+    else:
         model = LinearModel(
             weights=_array(payload.get("weights"), f"{path}: weights", (None,)),
             bias=float(_array(payload.get("bias"), f"{path}: bias", ())),
         )
-    else:
-        raise SchemaError(f"{path} has unknown model kind {kind!r} "
-                          f"for version {payload['version']}")
     return kind, model, str(payload.get("vocab_ref", ""))
 
 

@@ -109,19 +109,37 @@ class TestMalformedArtifact:
         ("split.json", lambda path: path.write_text("[1, 2]"), TRAIN),
         ("model_rnn.json", lambda path: _write_models(path.parent, rnn_vocab_size=5),
          ["evaluate", "--no-plots", "--model", "@model_rnn.json"]),
+        ("model_rnn.json", lambda path: path.write_text("[1, 2]"),
+         ["predict", "--model", "@model_rnn.json", TEXT]),
         ("eval.json", lambda path: path.write_text('{"version": 1}'),
          ["compare", "@eval.json", "@eval.json"]),
     ], ids=["examples-cut-line", "examples-no-tokens", "examples-unknown-label",
             "logreg-no-weights", "logreg-string-bias", "logreg-nan-bias",
             "logreg-narrow-predict", "logreg-narrow-evaluate", "vocab-short-idf",
             "split-no-test-ids", "split-id-out-of-range", "split-list",
-            "rnn-narrow-evaluate", "report-no-metrics"])
+            "rnn-narrow-evaluate", "rnn-list", "report-no-metrics"])
     def test_exits_2_naming_the_file(self, bundle_dir, capsys, name, corrupt, argv):
         _write_models(bundle_dir)
         corrupt(bundle_dir / name)
         rc = main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)])
         assert rc == 2
         assert str(bundle_dir / name) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--no-plots", "--model", "@model_rnn.json"],
+        ["predict", "--model", "@model_rnn.json", TEXT],
+        ["train", "rnn", "--rnn-epochs", "1", "--resume", "@model_rnn.json"],
+    ], ids=["evaluate", "predict", "train-resume"])
+    def test_version_1_rnn_model_says_to_train_again(self, bundle_dir, capsys, argv):
+        _write_models(bundle_dir)
+        path = bundle_dir / "model_rnn.json"
+        _edit_json(_set("version", 1))(path)
+        before = path.read_bytes()
+        assert main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is a version-1 model file of kind 'rnn'" in err
+        assert "re-run train" in err
+        assert path.read_bytes() == before
 
 
 class TestExamplesFile:

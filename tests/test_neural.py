@@ -31,7 +31,6 @@ from edusent.neural.model import cell_rows
 from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
-V1_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v1.json"
 V2_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v2.json"
 
 
@@ -476,30 +475,13 @@ class TestFusedLayout:
             assert base64.b64decode(data) == p.astype("<f8").tobytes()
 
 
-class TestVersion1Fixture:
-    """A model file written before the gate tensors were fused, in decimal."""
+class TestVersion2Fixture:
+    """A small model file with fused gate tensors stored as base64 bytes,
+    and the probabilities it gives."""
 
     SEQUENCES = [[1], [9, 8, 7], [2, 4, 6, 8, 1, 3, 5, 7, 9, 2], [], [5, 5, 5, 5]]
     PROBS = [0.4670603203567777, 0.33940858522985706, 0.41670668692572577,
              0.31870937380012815, 0.2775446772837909]
-
-    def test_resaves_as_the_version_2_fixture(self, tmp_path):
-        _, model, ref = load_model(V1_FIXTURE)
-        path = tmp_path / "resaved.json"
-        save_rnn_model(model, path, ref)
-        assert path.read_bytes() == V2_FIXTURE.read_bytes()
-        _, resaved, _ = load_model(path)
-        np.testing.assert_allclose(predict_sequences(resaved, self.SEQUENCES),
-                                   self.PROBS, rtol=1e-12, atol=0)
-
-    def test_predictions_match_stored(self):
-        _, model, _ = load_model(V1_FIXTURE)
-        np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
-                                   self.PROBS, rtol=1e-12, atol=0)
-
-
-class TestVersion2Fixture:
-    """The version-1 fixture's model, as the version-2 writer saves it."""
 
     def test_load_and_save_round_trips_bytes(self, tmp_path):
         _, model, ref = load_model(V2_FIXTURE)
@@ -507,24 +489,16 @@ class TestVersion2Fixture:
         save_rnn_model(model, path, ref)
         assert path.read_bytes() == V2_FIXTURE.read_bytes()
 
-    def test_params_equal_the_version_1_fixture_bit_for_bit(self):
-        _, v1, ref1 = load_model(V1_FIXTURE)
-        _, v2, ref2 = load_model(V2_FIXTURE)
-        assert (v2.dims, ref2) == (v1.dims, ref1)
-        assert list(v2.params) == list(v1.params)
-        for name, p in v1.params.items():
-            assert v2.params[name].tobytes() == p.tobytes(), name
-
     def test_loaded_params_are_owned_writable_c_float64(self):
         _, model, _ = load_model(V2_FIXTURE)
         for name, p in model.params.items():
             assert p.dtype == np.float64, name
             assert p.flags.owndata and p.flags.writeable and p.flags.c_contiguous, name
 
-    def test_predictions_match_the_version_1_fixture(self):
+    def test_predictions_match_stored(self):
         _, model, _ = load_model(V2_FIXTURE)
-        np.testing.assert_allclose(predict_sequences(model, TestVersion1Fixture.SEQUENCES),
-                                   TestVersion1Fixture.PROBS, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
+                                   self.PROBS, rtol=1e-12, atol=0)
 
 
 def _v2_bytes(name, edit):
@@ -547,28 +521,20 @@ def _first_value(value):
 class TestMalformedModelFile:
     @staticmethod
     def _corrupt(tmp_path, edit):
-        payload = json.loads(V1_FIXTURE.read_text())
+        payload = json.loads(V2_FIXTURE.read_text())
         edit(payload)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         return path
 
     @pytest.mark.parametrize("edit", [
-        lambda p: p["tensors"].pop("fwd.W_o"),
-        lambda p: p["tensors"].__setitem__("out.b", [[], [0.1, 0.2]]),
-        lambda p: p["tensors"].__setitem__("attn.v_a", [[3], "abc"]),
-        lambda p: p["tensors"].__setitem__("attn.v_a", [[2], [0.1, 0.2]]),
-        lambda p: p["tensors"].__setitem__("out.w", None),
         lambda p: p["dims"].__setitem__("hidden", 3.0),
         lambda p: p["dims"].__setitem__("extra", 1),
         lambda p: p.__setitem__("dims", [4, 3, 3]),
         lambda p: p.__setitem__("tensors", []),
-        lambda p: p["tensors"]["bwd.b_g"][1].__setitem__(0, float("inf")),
-    ], ids=["missing-tensor", "bias-too-long", "values-not-numbers", "wrong-shape",
-            "entry-null", "float-dim", "unknown-dim", "dims-list", "tensors-list",
-            "infinite-bias"])
+    ], ids=["float-dim", "unknown-dim", "dims-list", "tensors-list"])
     def test_schema_error(self, tmp_path, edit):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=str(tmp_path / "bad.json")):
             load_model(self._corrupt(tmp_path, edit))
 
     @pytest.mark.parametrize("edit", [
@@ -594,20 +560,26 @@ class TestMalformedModelFile:
             "partial-value", "extra-value", "nan", "inf", "minus-inf", "wrong-shape",
             "list-data", "null-data", "entry-null", "huge-vocab", "logreg-v2"])
     def test_version_2_schema_error_names_file(self, tmp_path, edit):
-        payload = json.loads(V2_FIXTURE.read_text())
-        edit(payload)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path = self._corrupt(tmp_path, edit)
         with pytest.raises(SchemaError, match=str(path)):
             load_model(path)
 
     def test_version_3_rejected(self, tmp_path):
-        payload = json.loads(V2_FIXTURE.read_text())
-        payload["version"] = 3
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path = self._corrupt(tmp_path, lambda p: p.__setitem__("version", 3))
         with pytest.raises(SchemaError, match="version"):
             load_model(path)
+
+    @pytest.mark.parametrize("kind, version", [
+        ("rnn", 1), ("rnn", 3), ("logreg", 2), ("svm", 1), (None, 2), ("rnn", None)])
+    def test_other_formats_say_to_train_again(self, tmp_path, kind, version):
+        """Only version-1 logreg and version-2 rnn files are read; a version-1
+        rnn file, written before the gate tensors were fused, is refused."""
+        path = self._corrupt(tmp_path, lambda p: p.update(kind=kind, version=version))
+        with pytest.raises(SchemaError) as info:
+            load_model(path)
+        assert str(info.value).startswith(
+            f"{path} is a version-{version} model file of kind {kind!r}")
+        assert "re-run train" in str(info.value)
 
     def test_binary_file_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"
