@@ -94,6 +94,8 @@ def roc_auc(
         raise ValidationError("scores and labels must be equal-length and non-empty")
     y = np.array([int(lab) for lab in labels])
     s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("ROC/AUC needs finite scores")
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:

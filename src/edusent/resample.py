@@ -2,9 +2,15 @@
 
 SMOTE interpolates synthetic minority points between a parent and one of its
 k nearest minority neighbors; `balance_sparse` appends them to the `Csr`
-rows of the training set. The linear model trains on the balanced set; the
-sequence model cannot consume synthetic vectors, so it uses weighted
-cross-entropy with the weights computed here instead.
+rows of the training set. The neighbor table is exact, with equal distances
+going to the lower row index. It is found without a dense distance matrix:
+rows sharing a term with the parent get their distance from the shared
+products, and the rest rank by squared norm, so the cost is the shared-term
+products plus parents times distinct norms (see `_neighbor_table`).
+
+The linear model trains on the balanced set; the sequence model cannot
+consume synthetic vectors, so it uses weighted cross-entropy with the
+weights computed here instead.
 """
 
 from __future__ import annotations
@@ -19,8 +25,11 @@ from .features import Csr
 from .ingest import SentimentLabel
 
 
-#: rows per block of a distance matrix or of densified rows
+#: parent rows per chunk of the neighbor search
 _CHUNK_ROWS = 512
+
+#: rows per block densified by `_dense_sq_norms`
+_DENSE_ROWS = 32
 
 
 @dataclass
@@ -33,14 +42,19 @@ class SmoteConfig:
             raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the ranges starts[r] .. starts[r] + counts[r] - 1 in turn: the
+    range each position belongs to, and the position."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    at = (np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+          + np.repeat(starts, counts))
+    return owner, at
+
+
 def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For the CSR entries of `rows` in turn: the position in `rows` each
     entry belongs to, and the entry's position in the CSR arrays."""
-    counts = np.diff(indptr)[rows]
-    owner = np.repeat(np.arange(len(rows)), counts)
-    at = (np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-          + np.repeat(indptr[rows], counts))
-    return owner, at
+    return _ranges(indptr[rows], np.diff(indptr)[rows])
 
 
 def _take(X: Csr, rows: np.ndarray) -> Csr:
@@ -65,8 +79,17 @@ def _neighbor_table(
     The squared distance is sq_i + sq_j - 2 g_ij, clamped at zero, where the
     Gram entry g_ij sums the products of the terms rows i and j share, in
     term order. Distance ties break on the smaller row index so the table is
-    stable. Works in chunks of at most `chunk` rows and about `max_pairs`
-    shared-term products to keep memory bounded.
+    stable.
+
+    Only pairs that share a term get a Gram entry. Every other row j is at
+    exactly sq_i + sq_j, so it ranks by its squared norm, then by index: per
+    norm, only its first k rows that do not share a term with i can be
+    among i's k nearest. The search walks the distinct norms upwards until
+    k such rows are reached; that distance bounds the shared pairs worth
+    ranking. The work is the shared-term products plus parents times
+    distinct norms, not parents times rows. Parents go in chunks of at most
+    `chunk` rows and about `max_pairs` shared-term products to keep memory
+    bounded.
     """
     indptr, indices, values, rows = csr.indptr, csr.indices, csr.values, csr.rows
     n = len(csr)
@@ -77,6 +100,12 @@ def _neighbor_table(
     term_ptr = np.concatenate(([0], np.cumsum(df)))
     # products each row takes part in, cumulated over rows
     row_cost = np.concatenate(([0], np.cumsum(df[indices])))[indptr]
+    # distinct squared norms ascending; the rows of each, in row order
+    norms, group = np.unique(sq, return_inverse=True)
+    n_groups = len(norms)
+    size = np.bincount(group, minlength=n_groups)
+    members = np.argsort(group, kind="stable")
+    first_member = np.cumsum(size) - size
 
     table = np.empty((n_parents, k), dtype=np.int64)
     start = 0
@@ -86,29 +115,46 @@ def _neighbor_table(
         lo, hi = indptr[start], indptr[stop]
         entry, at = _gather(term_ptr, indices[lo:hi])
         m = stop - start
-        gram = np.bincount((rows[lo:hi][entry] - start) * n + term_rows[at],
-                           weights=values[lo:hi][entry] * term_vals[at],
-                           minlength=m * n).reshape(m, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
+        sq_parent = sq[start:stop]
+        # pairs sharing a term, as (parent - start) * n + row; each Gram
+        # entry adds its products in the parent's term order
+        shared, pair = np.unique((rows[lo:hi][entry] - start) * n + term_rows[at],
+                                 return_inverse=True)
+        gram = np.bincount(pair, weights=values[lo:hi][entry] * term_vals[at],
+                           minlength=len(shared))
+        p, j = np.divmod(shared, n)
+        d2 = sq_parent[p] + sq[j] - 2.0 * gram
         np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(m), np.arange(start, stop)] = np.inf
-        table[start:stop] = _k_smallest(d2, k)
+        other = j != p + start
+        p, j, d2 = p[other], j[other], d2[other]
+
+        # per parent and norm: the rows that share a term, and the parent
+        excluded = np.bincount(
+            np.concatenate((p, np.arange(m))) * n_groups
+            + np.concatenate((group[j], group[start:stop])),
+            minlength=m * n_groups).reshape(m, n_groups)
+        # the distance at which k rows sharing no term are reached, if ever
+        reach = np.cumsum(size - excluded, axis=1)
+        kth = np.argmax(reach >= k, axis=1)
+        bound = np.where(reach[:, -1] >= k, sq_parent + norms[kth], np.inf)
+        # the first k + excluded rows of each norm within the bound
+        within = sq_parent[:, None] + norms[None, :] <= bound[:, None]
+        counts = np.where(within, np.minimum(k + excluded, size), 0).ravel()
+        owner, at = _ranges(np.tile(first_member, m), counts)
+        q, r = owner // n_groups, members[at]
+        key = q * n + r
+        # a sentinel past every key ends `shared`, so each lookup lands in it
+        apart = (r != q + start) & (np.append(shared, m * n)[np.searchsorted(shared, key)] != key)
+
+        near = d2 <= bound[p]
+        p = np.concatenate((p[near], q[apart]))
+        j = np.concatenate((j[near], r[apart]))
+        d2 = np.concatenate((d2[near], sq_parent[q[apart]] + sq[r[apart]]))
+        per_parent = np.bincount(p, minlength=m)
+        first = np.cumsum(per_parent) - per_parent
+        table[start:stop] = j[np.lexsort((j, d2, p))][first[:, None] + np.arange(k)]
         start = stop
     return table
-
-
-def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the column indices of the k smallest values in ascending
-    order, equal values by ascending column: the first k columns of
-    `np.lexsort((columns, d2), axis=1)`, without sorting whole rows."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below = d2 < kth
-    tied = d2 == kth
-    room = k - np.count_nonzero(below, axis=1, keepdims=True)
-    take = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = np.nonzero(take)[1].reshape(-1, k)
-    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
 
 
 def _dense_sq_norms(csr: Csr, dim: int) -> np.ndarray:
@@ -119,8 +165,8 @@ def _dense_sq_norms(csr: Csr, dim: int) -> np.ndarray:
     indptr, indices, values = csr.indptr, csr.indices, csr.values
     n = len(csr)
     sq = np.empty(n)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(n, start + _CHUNK_ROWS)
+    for start in range(0, n, _DENSE_ROWS):
+        stop = min(n, start + _DENSE_ROWS)
         lo, hi = indptr[start], indptr[stop]
         block = np.zeros((stop - start, dim))
         block[np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1])),

@@ -78,14 +78,22 @@ def dense_rows(X: Csr, dim: int) -> np.ndarray:
 
 
 def reference_neighbor_table(minority: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
-    """Dense reference: a BLAS Gram product and a full per-row lexsort on
-    (distance, row index)."""
+    """Dense reference: Gram entries summed left to right in column order,
+    as the distance is defined (a BLAS product groups the terms its own way,
+    which moves last bits when rows share three or more terms), and a full
+    per-row lexsort on (distance, row index)."""
     n = minority.shape[0]
     sq = np.sum(minority * minority, axis=1)
     table = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, chunk):
         rows = minority[start:start + chunk]
-        d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * (rows @ minority.T)
+        # a column where the row is zero adds a zero product, which leaves the sum as it is
+        gram = np.zeros((len(rows), n))
+        for g, row in zip(gram, rows):
+            cols = np.flatnonzero(row)
+            if len(cols):
+                g[:] = np.cumsum(row[cols] * minority[:, cols], axis=1)[:, -1]
+        d2 = sq[start:start + chunk, None] + sq[None, :] - 2.0 * gram
         np.maximum(d2, 0.0, out=d2)
         for i in range(d2.shape[0]):
             d2[i, start + i] = np.inf

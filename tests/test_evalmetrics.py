@@ -129,6 +129,12 @@ class TestRoc:
         with pytest.raises(ValidationError):
             roc_auc([0.4, 0.6], make_labels([1, 1]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # a NaN never equals the threshold it sets, so the sweep would not end
+        with pytest.raises(ValidationError, match="finite"):
+            roc_auc([0.2, bad, 0.9], make_labels([0, 1, 1]))
+
 
 class TestReport:
     def test_payload_shape(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     csr_rows,
@@ -73,6 +74,78 @@ class TestNeighborTable:
         assert table.tolist() == [[1, 2], [0, 2], [0, 1], [1, 0]]
         parents, neighbors, _ = draws(X, 20, SmoteConfig(k_neighbors=1, seed=5))
         assert set(neighbors[parents == 0].tolist()) == {1}
+
+
+def zipf_unit_rows(rng: np.random.Generator, n: int, dim: int, terms: int,
+                   empty_share: float) -> np.ndarray:
+    """L2-normalised term-count rows, like TF-IDF rows: about `terms` terms
+    each, drawn by a Zipf law over `dim` columns, with a share of empty rows."""
+    X = np.zeros((n, dim))
+    for i in np.flatnonzero(rng.random(n) >= empty_share):
+        row = X[i]
+        cols = np.minimum(rng.zipf(1.3, size=rng.integers(1, 2 * terms)), dim) - 1
+        np.add.at(row, cols, 1.0)
+        row /= np.sqrt(np.sum(row * row))
+    return X
+
+
+def fuzz_matrix(kind: str, n: int, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        X = rng.normal(size=(n, dim))
+        X[rng.random(X.shape) < 0.7] = 0.0
+    elif kind == "half-integer":  # every product and sum exact
+        X = rng.integers(-3, 4, size=(n, dim)) * 0.5
+        X[rng.random(X.shape) < 0.5] = 0.0
+    elif kind == "tfidf":  # with empty and duplicated rows
+        X = zipf_unit_rows(rng, n, dim, 3, 0.2)
+        X[rng.integers(0, n, size=n // 4)] = X[rng.integers(0, n, size=n // 4)]
+    else:  # one-hot at a few scales: many rows at one distance
+        X = np.zeros((n, dim))
+        X[np.arange(n), rng.integers(0, dim, size=n)] = rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+    return X
+
+
+@st.composite
+def neighbor_cases(draw):
+    n = draw(st.integers(2, 18))
+    X = fuzz_matrix(draw(st.sampled_from(["normal", "half-integer", "tfidf", "one-hot"])),
+                    n, draw(st.integers(1, 10)), draw(st.integers(0, 2**32 - 1)))
+    return (X, draw(st.integers(1, n)), draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+
+
+class TestNeighborTableSearch:
+    """The sparse search against the dense reference table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(neighbor_cases())
+    def test_equals_dense_reference_for_every_k(self, case):
+        X, n_parents, chunk, max_pairs = case
+        n, dim = X.shape
+        csr = csr_rows(X)
+        sq = _dense_sq_norms(csr, dim)
+        # the reference sorts whole rows, so its first k columns are the table for k
+        full = reference_neighbor_table(X, n - 1)
+        for k in range(1, n):
+            ref = full[:, :k]
+            for parents in {n_parents, n}:
+                np.testing.assert_array_equal(_neighbor_table(csr, sq, k, parents),
+                                              ref[:parents])
+                np.testing.assert_array_equal(
+                    _neighbor_table(csr, sq, k, parents, chunk, max_pairs), ref[:parents])
+
+    def test_traffic_shape(self):
+        """About 600 unit rows with about 4 Zipf terms over 400 columns, 5 %
+        of them empty."""
+        X = zipf_unit_rows(np.random.default_rng(19), 600, 400, 4, 0.05)
+        csr = csr_rows(X)
+        sq = _dense_sq_norms(csr, 400)
+        full = reference_neighbor_table(X, 13)
+        for k in (1, 5, 13):
+            ref = full[:, :k]
+            np.testing.assert_array_equal(_neighbor_table(csr, sq, k, 600), ref)
+            np.testing.assert_array_equal(
+                _neighbor_table(csr, sq, k, 450, chunk=64, max_pairs=2000), ref[:450])
 
 
 class TestSmoteSparse:
