@@ -110,19 +110,19 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
             # noise; validate on the training set instead
             print("validation carve-out too small to be informative; "
                   "validating on the training split")
-    train_ds, kept = sequence_data(bundle, rnn_train_ids, cfg.max_len, drop_empty=True)
-    val_ds, _ = sequence_data(bundle, rnn_val_ids, cfg.max_len, drop_empty=False)
+    if initial is not None:
+        dims = initial.dims  # resuming keeps the saved architecture, max_len included
+    else:
+        dims = RnnDims(vocab_size=len(bundle.tfidf.vocab), embed_dim=cfg.embed_dim,
+                       hidden=cfg.hidden_dim, attn_dim=cfg.attn_dim, max_len=cfg.max_len)
+    train_ds, kept = sequence_data(bundle, rnn_train_ids, dims.max_len, drop_empty=True)
+    val_ds, _ = sequence_data(bundle, rnn_val_ids, dims.max_len, drop_empty=False)
     w_pos, w_neg = class_weights([bundle.examples[i].label for i in kept])
     ncfg = NeuralTrainConfig(
         epochs=cfg.rnn_epochs, batch_size=cfg.rnn_batch_size,
         learning_rate=cfg.rnn_learning_rate, weight_pos=w_pos, weight_neg=w_neg,
         seed=cfg.seed, patience=cfg.patience,
     )
-    if initial is not None:
-        dims = initial.dims  # resuming keeps the saved architecture
-    else:
-        dims = RnnDims(vocab_size=len(bundle.tfidf.vocab), embed_dim=cfg.embed_dim,
-                       hidden=cfg.hidden_dim, attn_dim=cfg.attn_dim, max_len=cfg.max_len)
     result = train_rnn(train_ds, val_ds, ncfg, dims, initial=initial)
     model_path = out / "model_rnn.json"
     save_rnn_model(result.model, model_path, bundle.vocab_ref)

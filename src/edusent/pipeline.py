@@ -9,15 +9,20 @@ bundle back. A model file records its vocabulary file's SHA-256, and
 stale model/vocabulary pair. `score` is the one way a command scores
 text: it turns token lists into P(Positive) for either kind of model.
 
+A logreg model is one JSON file. An rnn model is a pair: a small JSON
+header (`model_rnn.json`) and, beside it under the suffix `.f64`, its
+parameters as raw little-endian float64 bytes. The header holds the
+blob's SHA-256 and is written after the blob, so a save cut short between
+the two leaves a pair that does not load.
+
 Only this module knows the file formats. Every output file is written
 whole or not at all (`_write_atomic`, under `write_json`, `write_csv` and
-`write_text`), and each JSON file is checked when read (`read_json`,
-`_array`): a malformed file is a SchemaError that names it.
+`write_text`), and each file is checked when read (`read_json`, `_array`,
+`_rnn_model`): a malformed file is a SchemaError that names it.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import hashlib
 import io
@@ -78,14 +83,14 @@ def file_sha256(path: Union[str, Path]) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
-    """Stream `chunks` (as given: no newline translation) into a temporary
-    file beside `path`, then move it over `path`: a reader sees the old file
-    or the whole new one, never a part."""
+def _write_atomic(path: Union[str, Path], chunks: Iterable) -> None:
+    """Stream `chunks` (bytes-like objects) into a temporary file beside
+    `path`, then move it over `path`: a reader sees the old file or the whole
+    new one, never a part."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -95,11 +100,11 @@ def _write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
 
 
 def write_json(path: Union[str, Path], payload: dict) -> None:
-    _write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2), "\n"))
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_text(path: Union[str, Path], text: str) -> None:
-    _write_atomic(path, (text,))
+    _write_atomic(path, (text.encode("utf-8"),))
 
 
 def write_csv(path: Union[str, Path], header: list, rows: list) -> None:
@@ -178,70 +183,83 @@ def save_linear_model(model: LinearModel, path: Union[str, Path], vocab_ref: str
 
 
 def save_rnn_model(model: RnnModel, path: Union[str, Path], vocab_ref: str) -> None:
-    """Write a version-2 model file: each parameter under its own name as
-    [shape, base64 of its little-endian float64 bytes]."""
+    """Write a version-3 model: the blob `path` with suffix .f64 (each
+    parameter's little-endian float64 bytes in C order, in `parameter_shapes`
+    order), then the header at `path`, which holds the blob's SHA-256. The
+    header is written last: a save cut short after the blob leaves a header
+    whose hash the blob does not match."""
+    digest = hashlib.sha256()
+
+    def blob():
+        for name in parameter_shapes(model.dims):
+            chunk = np.ascontiguousarray(model.params[name], "<f8")
+            digest.update(chunk)
+            yield chunk
+
+    _write_atomic(Path(path).with_suffix(".f64"), blob())
     write_json(path, {
-        "version": 2,
+        "version": 3,
         "kind": "rnn",
         "dims": asdict(model.dims),
-        "tensors": {
-            name: [list(p.shape),
-                   base64.b64encode(np.ascontiguousarray(p, "<f8").tobytes()).decode("ascii")]
-            for name, p in model.params.items()},
+        "sha256": digest.hexdigest(),
         "vocab_ref": vocab_ref,
     })
 
 
-def _decoded(tensors: dict, name: str, shape: tuple, path) -> np.ndarray:
-    """`tensors[name]` of a version-2 file: its stored shape is `shape`,
-    checked before anything is decoded or allocated, and its data is base64
-    of exactly prod(`shape`) finite little-endian float64 values. Returns an
-    owned, writable C-ordered array."""
-    entry = tensors.get(name)
-    if not (isinstance(entry, list) and len(entry) == 2 and entry[0] == list(shape)):
-        raise SchemaError(f"{path} lacks a {list(shape)} tensor {name!r}")
-    what, data = f"{path}: tensor {name!r}", entry[1]
-    if not isinstance(data, str):
-        raise SchemaError(f"{what} holds a {type(data).__name__}, not base64 text")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise SchemaError(f"{what} is not base64 text: {exc}") from exc
-    size = math.prod(shape)
-    if len(raw) != 8 * size:
-        raise SchemaError(f"{what} holds {len(raw)} bytes, not the {8 * size} "
-                          f"of {size} float64 values")
-    # frombuffer views the read-only bytes; the copy is what training updates
-    return _array(np.frombuffer(raw, "<f8").reshape(shape), what, shape).copy()
+_RETRAIN = "re-run train to write it again"
 
 
-def _rnn_model(payload: dict, path) -> RnnModel:
-    dims, tensors = payload.get("dims"), payload.get("tensors")
+def _rnn_model(header: dict, path) -> RnnModel:
+    """The model of the version-3 `header` read from `path`, with its
+    parameters read from the blob beside it. The blob's size is checked
+    against `dims` before anything is allocated, and its hash before any
+    value is used. Each parameter is an owned, writable C-ordered array."""
+    dims, sha256 = header.get("dims"), header.get("sha256")
     fields = set(RnnDims.__dataclass_fields__)
     if (not isinstance(dims, dict) or set(dims) != fields
             or any(type(v) is not int or v < 1 for v in dims.values())):
         raise SchemaError(f"{path}: dims {dims!r} are not positive integers "
                           f"{sorted(fields)}")
-    if not isinstance(tensors, dict):
-        raise SchemaError(f"{path}: tensors are not an object")
+    if not (isinstance(sha256, str) and len(sha256) == 64
+            and set(sha256) <= set("0123456789abcdef")):
+        raise SchemaError(f"{path}: sha256 {sha256!r} is not 64 lowercase hex digits")
     dims = RnnDims(**dims)
-    return RnnModel(dims, {name: _decoded(tensors, name, shape, path)
-                           for name, shape in parameter_shapes(dims).items()})
+    shapes = parameter_shapes(dims)
+    blob = Path(path).with_suffix(".f64")
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    params, digest = {}, hashlib.sha256()
+    try:
+        with blob.open("rb") as fh:
+            got = os.fstat(fh.fileno()).st_size
+            if got != size:
+                raise SchemaError(f"{path}: {blob} holds {got} bytes, not the {size} "
+                                  f"its dims need: {_RETRAIN}")
+            for name, shape in shapes.items():
+                params[name] = p = np.empty(shape, "<f8")
+                if fh.readinto(p) != p.nbytes:
+                    raise SchemaError(f"{path}: {blob} was cut short while read")
+                digest.update(p)
+    except FileNotFoundError as exc:
+        raise SchemaError(f"{path}: its parameter file {blob} is missing: {_RETRAIN}") from exc
+    if digest.hexdigest() != sha256:
+        raise SchemaError(f"{path}: {blob} does not match the header's sha256: {_RETRAIN}")
+    return RnnModel(dims, {
+        name: _array(p, f"{path}: tensor {name!r}", p.shape) for name, p in params.items()})
 
 
 def load_model(path: Union[str, Path]) -> tuple:
     """Parse a model file once and build the model its `kind` names: a
-    version-1 logreg file or a version-2 rnn file. Any other kind and
-    version is a SchemaError that says to train the model again.
+    version-1 logreg file or a version-3 rnn header and its blob. Any other
+    kind and version is a SchemaError that says to train the model again.
 
     Returns (kind, model, vocab_ref).
     """
     payload = read_json(path, versions=None)
     kind, version = payload.get("kind"), payload.get("version")
-    if (kind, version) not in (("logreg", 1), ("rnn", 2)):
+    if (kind, version) not in (("logreg", 1), ("rnn", 3)):
         raise SchemaError(f"{path} is a version-{version} model file of kind {kind!r}, "
-                          "but only version-1 logreg and version-2 rnn files are read: "
-                          "re-run train to write it again")
+                          "but only version-1 logreg and version-3 rnn files are read: "
+                          + _RETRAIN)
     if kind == "rnn":
         model = _rnn_model(payload, path)
     else:
@@ -315,14 +333,15 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     _write_atomic(out / "examples.jsonl", (
-        _example_line(i, str(ex.label), ex.raw_comment, ex.tokens)
+        _example_line(i, str(ex.label), ex.raw_comment, ex.tokens).encode("ascii")
         for i, ex in enumerate(examples)))
 
     save_tfidf_model(tfidf, out / "vocab.json")
 
     terms, chi2 = vocab_full.terms, scores.score.tolist()
-    _write_atomic(out / "chi2_report.csv", ("term,score\n", *(
-        f"{terms[i]},{chi2[i]!r}\n" for i in rank_terms(scores, vocab_full).tolist())))
+    _write_atomic(out / "chi2_report.csv", (b"term,score\n", *(
+        f"{terms[i]},{chi2[i]!r}\n".encode("utf-8")
+        for i in rank_terms(scores, vocab_full).tolist())))
 
     write_json(out / "split.json", {
         "version": 1, "seed": cfg.seed, "fraction": cfg.fraction,

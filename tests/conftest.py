@@ -5,12 +5,18 @@ check: chi-squared goes through observed/expected cell sums and AUC through
 explicit pair counting.
 """
 
+import base64
+import hashlib
+import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edusent.features import Csr
+from edusent.neural import RnnDims, parameter_shapes
 from edusent.resample import SmoteConfig
 from edusent.textprep import LemmaRuleTable, StopwordList
 
@@ -183,3 +189,68 @@ def negation_pair_corpus(n_train_pairs: int = 200, n_test_pairs: int = 100, seed
     train = expand(chosen[:n_train_pairs])
     test = expand(chosen[n_train_pairs:])
     return train, test
+
+
+# --- rnn model files: a JSON header at `path` and its blob `path`.f64 ----------
+
+def edit_rnn_pair(path: Path, edit) -> None:
+    """Rewrite the version-3 rnn model whose header is at `path`:
+    `edit(header, blob)` changes the parsed header in place and returns the
+    new blob bytes, or None to delete the blob."""
+    blob_path = path.with_suffix(".f64")
+    header = json.loads(path.read_text())
+    blob = edit(header, blob_path.read_bytes())
+    path.write_text(json.dumps(header))
+    if blob is None:
+        blob_path.unlink()
+    else:
+        blob_path.write_bytes(blob)
+
+
+def header_edit(edit):
+    """An `edit_rnn_pair` edit that applies `edit` to the header only."""
+    def apply(header, blob):
+        edit(header)
+        return blob
+    return apply
+
+
+def blob_edit(edit, rehash: bool = False):
+    """An `edit_rnn_pair` edit that replaces the blob with `edit(blob)`. With
+    `rehash`, the header's sha256 becomes the new blob's, so that only the
+    checks after the hash can catch the edit."""
+    def apply(header, blob):
+        blob = edit(blob)
+        if rehash:
+            header["sha256"] = hashlib.sha256(blob).hexdigest()
+        return blob
+    return apply
+
+
+def set_value(index: int, value: float):
+    """A blob edit that stores `value` as the float64 at `index` (negative
+    indices count from the end)."""
+    def apply(blob: bytes) -> bytes:
+        i = 8 * (index % (len(blob) // 8))
+        return blob[:i] + struct.pack("<d", value) + blob[i + 8:]
+    return apply
+
+
+def flip_byte(blob: bytes) -> bytes:
+    """A blob edit that flips one bit of the blob's 101st byte."""
+    return blob[:100] + bytes([blob[100] ^ 1]) + blob[101:]
+
+
+def version_2_payload(path: Path) -> dict:
+    """The version-3 rnn model whose header is at `path`, laid out as a
+    version-2 file: one JSON object holding each tensor under its name as
+    [shape, base64 of its little-endian float64 bytes]."""
+    header = json.loads(path.read_text())
+    blob = path.with_suffix(".f64").read_bytes()
+    tensors, start = {}, 0
+    for name, shape in parameter_shapes(RnnDims(**header["dims"])).items():
+        end = start + 8 * math.prod(shape)
+        tensors[name] = [list(shape), base64.b64encode(blob[start:end]).decode("ascii")]
+        start = end
+    return {"version": 2, "kind": "rnn", "dims": header["dims"], "tensors": tensors,
+            "vocab_ref": header["vocab_ref"]}

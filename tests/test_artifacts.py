@@ -195,10 +195,12 @@ class TestExamplesFile:
 
 
 class _FullDisk:
-    """A text file that takes `room` characters, then fails as a full disk does."""
+    """A file that takes `room` bytes, then raises `error`: by default the
+    OSError of a full disk."""
 
-    def __init__(self, fh, room: int):
+    def __init__(self, fh, room: int, error=None):
         self.fh, self.room = fh, room
+        self.error = error or OSError(errno.ENOSPC, "No space left on device")
 
     def __enter__(self):
         return self
@@ -206,21 +208,22 @@ class _FullDisk:
     def __exit__(self, *exc):
         self.fh.close()
 
-    def write(self, text: str) -> None:
-        self.fh.write(text[: self.room])
-        if len(text) > self.room:
+    def write(self, data) -> None:
+        data = memoryview(data).cast("B")
+        self.fh.write(data[: self.room])
+        if len(data) > self.room:
             self.fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self.room -= len(text)
+            raise self.error
+        self.room -= len(data)
 
 
 class TestAtomicWrite:
-    def _fill_disk_after(self, monkeypatch, room: int, name: str = "") -> None:
-        """The disk fills once `room` characters are written to the temporary
-        file of `name`, or of any file when `name` is empty."""
+    def _fill_disk_after(self, monkeypatch, room: int, name: str = "", error=None) -> None:
+        """The disk fills (or `error` is raised) once `room` bytes are written
+        to the temporary file of `name`, or of any file when `name` is empty."""
         def limited(file, mode="r", **kw):
             hit = not name or Path(file).name.startswith(f".{name}.")
-            return _FullDisk(open(file, mode, **kw), room if hit else 10**9)
+            return _FullDisk(open(file, mode, **kw), room if hit else 10**9, error)
         monkeypatch.setattr(edusent.pipeline, "open", limited, raising=False)
 
     def test_write_json_keeps_old_file(self, tmp_path, monkeypatch):
@@ -262,6 +265,33 @@ class TestAtomicWrite:
         assert main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)]) == 2
         assert target.read_bytes() == b"old\n"
         assert not [p.name for p in bundle_dir.iterdir() if p.name.endswith(".tmp")]
+
+
+    @pytest.mark.parametrize("cut", ["header", "blob"])
+    def test_interrupted_rnn_save(self, bundle_dir, monkeypatch, capsys, cut):
+        """The header is written last: a save stopped after the blob was
+        replaced leaves a pair that does not load, and one stopped inside the
+        blob leaves the old pair whole."""
+        _write_models(bundle_dir)
+        path = bundle_dir / "model_rnn.json"
+        _, old, ref = load_model(path)
+        new = init_model(old.dims, seed=1)
+        name, room = ("model_rnn.json", 0) if cut == "header" else ("model_rnn.f64", 64)
+        self._fill_disk_after(monkeypatch, room, name, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            save_rnn_model(new, path, ref)
+        monkeypatch.undo()
+        assert not [p.name for p in bundle_dir.iterdir() if p.name.endswith(".tmp")]
+        rc = main(["predict", "--out", str(bundle_dir), "--model", str(path), TEXT])
+        err = capsys.readouterr().err
+        if cut == "header":
+            assert rc == 2
+            assert f"{path}: " in err and "does not match the header's sha256: re-run train" in err
+        else:
+            assert rc == 0
+            _, loaded, _ = load_model(path)
+            for name, p in old.params.items():
+                assert np.array_equal(loaded.params[name], p), name
 
 
 def test_sample_files_resave_byte_identical(bundle_dir, tmp_path):

@@ -1,9 +1,7 @@
-import base64
 import csv
 import json
 import math
 import shutil
-import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,8 +14,17 @@ import edusent.pipeline
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.config import build_config
 from edusent.features import build_vocabulary, chi2_scores, presence_sets
-from edusent.neural import RnnDims, init_model
+from edusent.neural import RnnDims, init_model, train_rnn
 from edusent.pipeline import BUNDLE_FILES, load_bundle, load_model, save_rnn_model
+
+from conftest import (
+    blob_edit,
+    edit_rnn_pair,
+    flip_byte,
+    header_edit,
+    set_value,
+    version_2_payload,
+)
 
 FAST_RNN = ["--rnn-epochs", "6", "--embed-dim", "8", "--hidden-dim", "8",
             "--attn-dim", "6", "--rnn-rate", "0.01", "--patience", "0",
@@ -222,10 +229,11 @@ class TestTrain:
                    "--resume", str(trained_dir / "model_logreg.json")])
         assert rc == 0
 
-    def test_resume_rnn_from_version_2_file(self, trained_dir, tmp_path):
+    def test_resume_rnn_from_version_3_file(self, trained_dir, tmp_path):
         start = tmp_path / "start.json"
         shutil.copyfile(trained_dir / "model_rnn.json", start)
-        assert json.loads(start.read_text())["version"] == 2
+        shutil.copyfile(trained_dir / "model_rnn.f64", tmp_path / "start.f64")
+        assert json.loads(start.read_text())["version"] == 3
         _, model, _ = load_model(start)
         for name, p in model.params.items():
             assert p.dtype == np.float64, name
@@ -238,6 +246,21 @@ class TestTrain:
             resumed.append((trained_dir / "model_rnn.json").read_bytes())
         assert resumed[0] == resumed[1]
         assert resumed[0] != start.read_bytes()
+
+    def test_resume_rnn_encodes_to_the_saved_max_len(self, bundle_dir, monkeypatch):
+        assert main(["train", "rnn", "--out", str(bundle_dir), "--seed", "7",
+                     *FAST_RNN, "--rnn-epochs", "1", "--max-len", "3"]) == 0
+        seen = []
+
+        def spy(train_ds, val_ds, ncfg, dims, initial=None):
+            seen.append((dims.max_len, [len(s) for s in train_ds.sequences + val_ds.sequences]))
+            return train_rnn(train_ds, val_ds, ncfg, dims, initial=initial)
+
+        monkeypatch.setattr(edusent.cli, "train_rnn", spy)
+        assert main(["train", "rnn", "--out", str(bundle_dir), "--seed", "7", "--rnn-epochs",
+                     "1", "--resume", str(bundle_dir / "model_rnn.json")]) == 0
+        [(max_len, lengths)] = seen
+        assert max_len == 3 and max(lengths) == 3  # not the default max_len of 128
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("kind, key, flag", [
@@ -397,40 +420,50 @@ def _untrained_rnn_file(bundle_dir) -> Path:
     return path
 
 
-def _tensor_bytes(name, edit):
-    """Replace the stored bytes of tensor `name` with `edit(bytes)`."""
-    def corrupt(payload):
-        entry = payload["tensors"][name]
-        entry[1] = base64.b64encode(edit(base64.b64decode(entry[1]))).decode("ascii")
-    return corrupt
+def _huge_vocab(header):
+    # dims that no allocation could hold must be caught by the size check
+    header["dims"]["vocab_size"] = 2**62
 
 
-def _huge_vocab(payload):
-    # dims that no allocation could hold must be caught by the shape check
-    payload["dims"]["vocab_size"] = 2**62
+def _version_2(edit):
+    """Rewrite the model as a version-2 file, its tensors then changed by `edit`."""
+    def apply(path: Path) -> None:
+        payload = version_2_payload(path)
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return apply
+
+
+def _pair(edit):
+    return lambda path: edit_rnn_pair(path, edit)
 
 
 class TestMalformedRnnModel:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("corrupt", [
-        lambda p: p.pop("tensors"),
-        lambda p: p["tensors"].pop("fwd.U"),
-        _tensor_bytes("fwd.U", lambda raw: raw[:-8]),
-        lambda p: p["dims"].pop("hidden"),
-        _tensor_bytes("out.w", lambda raw: struct.pack("<d", math.nan) + raw[8:]),
-        _tensor_bytes("out.w", lambda raw: struct.pack("<d", math.inf) + raw[8:]),
-        lambda p: p["tensors"]["out.w"].__setitem__(1, "****"),
-        lambda p: p["tensors"]["out.w"].__setitem__(1, [0.0] * 6),
-        lambda p: p["tensors"]["attn.W_a"].__setitem__(0, [6, 3]),
-        _huge_vocab,
-    ], ids=["missing-tensors", "missing-tensor", "truncated-bytes", "missing-hidden",
-            "nan-weight", "inf-weight", "bad-base64", "non-string-data", "wrong-shape",
-            "huge-vocab"])
+        _pair(lambda header, blob: None),
+        _pair(blob_edit(lambda raw: raw[:-8], rehash=True)),
+        _pair(blob_edit(lambda raw: raw[:-1])),
+        _pair(blob_edit(lambda raw: raw + b"\0")),
+        _pair(blob_edit(flip_byte)),
+        _pair(header_edit(lambda p: p["dims"].pop("hidden"))),
+        _pair(blob_edit(set_value(-2, math.nan), rehash=True)),
+        _pair(blob_edit(set_value(-2, math.inf), rehash=True)),
+        _pair(header_edit(lambda p: p.pop("sha256"))),
+        _pair(header_edit(lambda p: p.__setitem__("sha256", "z" * 64))),
+        _pair(header_edit(lambda p: p["dims"].__setitem__("attn_dim", 6))),
+        _pair(header_edit(_huge_vocab)),
+        # version-2 files, refused from the header whatever their tensors hold
+        _version_2(lambda p: None),
+        _version_2(lambda p: p["tensors"]["out.w"].__setitem__(1, "****")),
+        _version_2(lambda p: p["tensors"]["out.w"].__setitem__(1, [0.0] * 6)),
+    ], ids=["missing-tensors", "missing-tensor", "truncated-bytes", "extra-byte",
+            "flipped-byte", "missing-hidden", "nan-weight", "inf-weight", "missing-sha256",
+            "non-hex-sha256", "wrong-shape", "huge-vocab", "version-2", "bad-base64",
+            "non-string-data"])
     def test_exit_2_without_traceback(self, bundle_dir, capsys, command, corrupt):
         path = _untrained_rnn_file(bundle_dir)
-        payload = json.loads(path.read_text())
-        corrupt(payload)
-        path.write_text(json.dumps(payload))
+        corrupt(path)
         argv = ["predict", "The lecture was engaging."] if command == "predict" else ["evaluate"]
         rc = main([*argv, "--out", str(bundle_dir), "--model", str(path)])
         err = capsys.readouterr().err

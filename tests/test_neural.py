@@ -1,11 +1,28 @@
 import base64
+import hashlib
 import json
 import math
+import shutil
 import struct
+import sys
+import tempfile
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from conftest import (
+    blob_edit,
+    edit_rnn_pair,
+    flip_byte,
+    header_edit,
+    set_value,
+    version_2_payload,
+)
 
 from edusent.errors import SchemaError, ValidationError
 from edusent.neural import (
@@ -31,7 +48,7 @@ from edusent.neural.model import cell_rows
 from edusent.pipeline import load_model, save_rnn_model
 
 DIMS = RnnDims(vocab_size=9, embed_dim=4, hidden=3, attn_dim=3, max_len=6)
-V2_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v2.json"
+V3_FIXTURE = Path(__file__).parent / "data" / "model_rnn_v3.json"
 
 
 def _zero_cell(hidden=2, embed=2) -> dict:
@@ -418,6 +435,11 @@ class TestActiveRows:
         assert np.array_equal(probs, np.full(len(seqs), full[0]))
 
 
+#: float64 values whose bits a text round trip could lose or change
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072e-308,
+                sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+
+
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, tmp_path):
         model = init_model(DIMS, seed=13)
@@ -432,6 +454,26 @@ class TestPersistence:
         assert list(loaded.params) == list(model.params)
         for name, p in model.params.items():
             np.testing.assert_array_equal(loaded.params[name], p)
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(dims=st.builds(RnnDims, vocab_size=st.integers(1, 6), embed_dim=st.integers(1, 4),
+                          hidden=st.integers(1, 3), attn_dim=st.integers(1, 3),
+                          max_len=st.integers(1, 5)),
+           data=st.data())
+    def test_round_trip_is_bit_exact(self, dims, data):
+        values = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        model = init_model(dims, seed=0)
+        for name, shape in parameter_shapes(dims).items():
+            model.params[name] = data.draw(hnp.arrays(np.float64, shape, elements=values),
+                                           label=name)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model_rnn.json"
+            save_rnn_model(model, path, vocab_ref="0")
+            _, loaded, _ = load_model(path)
+        assert loaded.dims == dims
+        for name, p in model.params.items():
+            assert loaded.params[name].tobytes() == p.tobytes(), name
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -466,37 +508,39 @@ class TestFusedLayout:
         model = init_model(DIMS, seed=1)
         path = tmp_path / "model_rnn.json"
         save_rnn_model(model, path, vocab_ref="0")
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert list(payload["tensors"]) == sorted(model.params)
-        for name, p in model.params.items():
-            shape, data = payload["tensors"][name]
-            assert shape == list(p.shape)
-            assert base64.b64decode(data) == p.astype("<f8").tobytes()
+        blob = (tmp_path / "model_rnn.f64").read_bytes()
+        assert blob == b"".join(model.params[name].astype("<f8").tobytes()
+                                for name in parameter_shapes(DIMS))
+        assert json.loads(path.read_text()) == {
+            "version": 3, "kind": "rnn", "dims": asdict(DIMS),
+            "sha256": hashlib.sha256(blob).hexdigest(), "vocab_ref": "0"}
 
 
-class TestVersion2Fixture:
-    """A small model file with fused gate tensors stored as base64 bytes,
-    and the probabilities it gives."""
+class TestVersion3Fixture:
+    """A small model pair with fused gate tensors, and the probabilities it
+    gives. Its parameter bytes are those of the version-2 file it was
+    converted from."""
 
     SEQUENCES = [[1], [9, 8, 7], [2, 4, 6, 8, 1, 3, 5, 7, 9, 2], [], [5, 5, 5, 5]]
     PROBS = [0.4670603203567777, 0.33940858522985706, 0.41670668692572577,
              0.31870937380012815, 0.2775446772837909]
 
     def test_load_and_save_round_trips_bytes(self, tmp_path):
-        _, model, ref = load_model(V2_FIXTURE)
+        _, model, ref = load_model(V3_FIXTURE)
         path = tmp_path / "resaved.json"
         save_rnn_model(model, path, ref)
-        assert path.read_bytes() == V2_FIXTURE.read_bytes()
+        for suffix in (".json", ".f64"):
+            assert (path.with_suffix(suffix).read_bytes()
+                    == V3_FIXTURE.with_suffix(suffix).read_bytes()), suffix
 
     def test_loaded_params_are_owned_writable_c_float64(self):
-        _, model, _ = load_model(V2_FIXTURE)
+        _, model, _ = load_model(V3_FIXTURE)
         for name, p in model.params.items():
             assert p.dtype == np.float64, name
             assert p.flags.owndata and p.flags.writeable and p.flags.c_contiguous, name
 
     def test_predictions_match_stored(self):
-        _, model, _ = load_model(V2_FIXTURE)
+        _, model, _ = load_model(V3_FIXTURE)
         np.testing.assert_allclose(predict_sequences(model, self.SEQUENCES),
                                    self.PROBS, rtol=1e-12, atol=0)
 
@@ -521,21 +565,72 @@ def _first_value(value):
 class TestMalformedModelFile:
     @staticmethod
     def _corrupt(tmp_path, edit):
-        payload = json.loads(V2_FIXTURE.read_text())
-        edit(payload)
+        """A copy of the fixture pair, its header changed by `edit`."""
+        return TestMalformedModelFile._corrupt_pair(tmp_path, header_edit(edit))
+
+    @staticmethod
+    def _corrupt_pair(tmp_path, edit):
+        """A copy of the fixture pair, changed by the `edit_rnn_pair` edit `edit`."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        shutil.copyfile(V3_FIXTURE, path)
+        shutil.copyfile(V3_FIXTURE.with_suffix(".f64"), path.with_suffix(".f64"))
+        edit_rnn_pair(path, edit)
         return path
 
     @pytest.mark.parametrize("edit", [
         lambda p: p["dims"].__setitem__("hidden", 3.0),
         lambda p: p["dims"].__setitem__("extra", 1),
         lambda p: p.__setitem__("dims", [4, 3, 3]),
-        lambda p: p.__setitem__("tensors", []),
-    ], ids=["float-dim", "unknown-dim", "dims-list", "tensors-list"])
+        lambda p: p.__setitem__("sha256", []),
+    ], ids=["float-dim", "unknown-dim", "dims-list", "sha256-list"])
     def test_schema_error(self, tmp_path, edit):
         with pytest.raises(SchemaError, match=str(tmp_path / "bad.json")):
             load_model(self._corrupt(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, blob: None, "bad.f64 is missing: re-run train"),
+        (blob_edit(lambda b: b[:-1]), "holds 2079 bytes, not the 2080 its dims need"),
+        (blob_edit(lambda b: b + b"\0"), "holds 2081 bytes, not the 2080 its dims need"),
+        (blob_edit(lambda b: b[:-8], rehash=True), "holds 2072 bytes, not the 2080"),
+        (header_edit(lambda p: p["dims"].__setitem__("attn_dim", 4)),
+         "holds 2080 bytes, not the 2136 its dims need: re-run train"),
+        (header_edit(lambda p: p["dims"].__setitem__("vocab_size", 2**62)),
+         "holds 2080 bytes, not the 147573952589676414720 its dims need"),
+        (blob_edit(flip_byte), "does not match the header's sha256: re-run train"),
+        (blob_edit(set_value(5, math.nan), rehash=True),
+         "tensor 'embedding' is not a finite float64 array"),
+        (blob_edit(set_value(-1, math.inf), rehash=True),
+         "tensor 'out.b' is not a finite float64 array"),
+        (blob_edit(set_value(-3, -math.inf), rehash=True),
+         "tensor 'out.w' is not a finite float64 array"),
+        (header_edit(lambda p: p.pop("sha256")), "sha256 None is not 64 lowercase hex"),
+        (header_edit(lambda p: p.__setitem__("sha256", "g" * 64)), "is not 64 lowercase hex"),
+        (header_edit(lambda p: p.__setitem__("sha256", p["sha256"].upper())),
+         "is not 64 lowercase hex"),
+        (header_edit(lambda p: p.__setitem__("sha256", p["sha256"][1:])),
+         "is not 64 lowercase hex"),
+    ], ids=["missing-blob", "short-by-one-byte", "long-by-one-byte", "missing-tensor",
+            "wrong-shape", "huge-vocab", "flipped-byte", "nan", "inf", "minus-inf",
+            "missing-sha256", "non-hex-sha256", "upper-case-sha256", "short-sha256"])
+    def test_version_3_schema_error_names_file(self, tmp_path, edit, message):
+        """Each check in its turn: dims and sha256, the blob's size, its
+        hash, then finiteness."""
+        path = self._corrupt_pair(tmp_path, edit)
+        with pytest.raises(SchemaError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
+    def test_dims_past_the_blob_allocate_nothing(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda p: p["dims"].__setitem__("vocab_size", 10**7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="bytes, not the"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the embedding alone would be 320 MB
 
     @pytest.mark.parametrize("edit", [
         lambda p: p["tensors"].pop("fwd.U"),
@@ -560,20 +655,27 @@ class TestMalformedModelFile:
             "partial-value", "extra-value", "nan", "inf", "minus-inf", "wrong-shape",
             "list-data", "null-data", "entry-null", "huge-vocab", "logreg-v2"])
     def test_version_2_schema_error_names_file(self, tmp_path, edit):
-        path = self._corrupt(tmp_path, edit)
-        with pytest.raises(SchemaError, match=str(path)):
+        """A version-2 file (the fixture's parameters as base64 text) is
+        refused from its header, whatever its tensors hold: none is read."""
+        payload = version_2_payload(V3_FIXTURE)
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=str(path)) as info:
             load_model(path)
+        assert "re-run train" in str(info.value)
 
-    def test_version_3_rejected(self, tmp_path):
-        path = self._corrupt(tmp_path, lambda p: p.__setitem__("version", 3))
+    def test_version_4_rejected(self, tmp_path):
+        path = self._corrupt(tmp_path, lambda p: p.__setitem__("version", 4))
         with pytest.raises(SchemaError, match="version"):
             load_model(path)
 
     @pytest.mark.parametrize("kind, version", [
-        ("rnn", 1), ("rnn", 3), ("logreg", 2), ("svm", 1), (None, 2), ("rnn", None)])
+        ("rnn", 1), ("rnn", 2), ("logreg", 2), ("svm", 1), (None, 2), ("rnn", None)])
     def test_other_formats_say_to_train_again(self, tmp_path, kind, version):
-        """Only version-1 logreg and version-2 rnn files are read; a version-1
-        rnn file, written before the gate tensors were fused, is refused."""
+        """Only version-1 logreg and version-3 rnn files are read; a version-1
+        rnn file (split gate tensors) and a version-2 one (base64 tensors) are
+        refused."""
         path = self._corrupt(tmp_path, lambda p: p.update(kind=kind, version=version))
         with pytest.raises(SchemaError) as info:
             load_model(path)
