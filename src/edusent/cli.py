@@ -9,6 +9,7 @@ success, 1 for domain/validation errors, 2 for IO/schema errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -96,10 +97,22 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         return 0
 
     # rnn
+    if initial is not None:
+        dims = initial.dims  # resuming keeps the saved architecture, max_len included
+        for flag, given, saved in (("--embed-dim", args.embed_dim, dims.embed_dim),
+                                   ("--hidden-dim", args.hidden_dim, dims.hidden),
+                                   ("--attn-dim", args.attn_dim, dims.attn_dim),
+                                   ("--max-len", args.max_len, dims.max_len)):
+            if given is not None and given != saved:
+                raise ValidationError(f"{flag} {given} differs from the {saved} of the "
+                                      f"resumed model {args.resume}")
+    else:
+        dims = RnnDims(vocab_size=len(bundle.tfidf.vocab), embed_dim=cfg.embed_dim,
+                       hidden=cfg.hidden_dim, attn_dim=cfg.attn_dim, max_len=cfg.max_len)
     rnn_train_ids = list(bundle.train_ids)
     rnn_val_ids = list(bundle.train_ids)
     if 0.0 < cfg.val_fraction < 1.0:
-        inner = split(train, 1.0 - cfg.val_fraction, cfg.seed + 1)
+        inner = split([ex.label for ex in train], 1.0 - cfg.val_fraction, cfg.seed + 1)
         val_ids = [bundle.train_ids[j] for j in inner.test_ids]
         val_label_kinds = {bundle.examples[i].label for i in val_ids}
         if len(val_ids) >= 10 and len(val_label_kinds) == 2:
@@ -110,11 +123,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
             # noise; validate on the training set instead
             print("validation carve-out too small to be informative; "
                   "validating on the training split")
-    if initial is not None:
-        dims = initial.dims  # resuming keeps the saved architecture, max_len included
-    else:
-        dims = RnnDims(vocab_size=len(bundle.tfidf.vocab), embed_dim=cfg.embed_dim,
-                       hidden=cfg.hidden_dim, attn_dim=cfg.attn_dim, max_len=cfg.max_len)
     train_ds, kept = sequence_data(bundle, rnn_train_ids, dims.max_len, drop_empty=True)
     val_ds, _ = sequence_data(bundle, rnn_val_ids, dims.max_len, drop_empty=False)
     w_pos, w_neg = class_weights([bundle.examples[i].label for i in kept])
@@ -225,7 +233,10 @@ def cmd_compare(cfg: PipelineConfig, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It holds no command
+    function: `main` looks the command up when it runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--seed", type=int, default=None)
@@ -251,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", parents=[common],
                        help="ingest a CSV and write the dataset bundle")
     p.add_argument("--fraction", type=float, default=None, help="train fraction")
-    p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", parents=[common], help="train a model on a bundle")
     p.add_argument("kind", choices=["logreg", "rnn"])
@@ -269,31 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None, dest="max_len")
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--val-fraction", type=float, default=None, dest="val_fraction")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="evaluate a model on the bundle's test split")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", parents=[common],
                        help="classify one comment (reads stdin without TEXT)")
     p.add_argument("--model", required=True)
     p.add_argument("text", nargs="?", default=None)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sensitivity", parents=[common],
                        help="probe both models with sentence variations")
     p.add_argument("--lr-model", required=True, dest="lr_model")
     p.add_argument("--rnn-model", required=True, dest="rnn_model")
     p.add_argument("--sentences", default=None, help="file with one sentence per line")
-    p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("compare", parents=[common],
                        help="delta table between two evaluation reports")
     p.add_argument("report_a")
     p.add_argument("report_b")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -310,7 +315,10 @@ def main(argv=None) -> int:
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
     try:
         cfg = build_config(args.config, overrides)
-        return args.func(cfg, args)
+        command = {"prepare": cmd_prepare, "train": cmd_train, "evaluate": cmd_evaluate,
+                   "predict": cmd_predict, "sensitivity": cmd_sensitivity,
+                   "compare": cmd_compare}[args.command]
+        return command(cfg, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

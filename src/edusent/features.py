@@ -11,11 +11,10 @@ and scores it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,14 +22,26 @@ from .errors import ValidationError
 from .ingest import SentimentLabel
 
 
+@dataclass(frozen=True, eq=False)
+class Presence:
+    """The distinct (document, term) pairs of a corpus: term `terms[j]`
+    occurs in document `docs[j]`. Sorted by document, then term."""
+
+    docs: np.ndarray
+    terms: np.ndarray
+
+
 @dataclass
 class Vocabulary:
-    """Dense term index plus per-term document frequencies."""
+    """Dense term index plus per-term document frequencies. `presence` is
+    kept by `build_vocabulary` for `chi2_scores`; a vocabulary made any
+    other way has none."""
 
     terms: list
     doc_freq: np.ndarray
     n_docs: int
     term_to_index: dict = field(default_factory=dict)
+    presence: Optional[Presence] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.term_to_index:
@@ -70,17 +81,28 @@ class Chi2Scores:
 
 
 def build_vocabulary(corpus: Sequence[list]) -> Vocabulary:
-    """Index every distinct token in first-appearance order and count the
-    number of documents each term occurs in."""
-    # a Counter keeps first-insertion order, and dict.fromkeys(doc) is doc's
-    # distinct terms in first-appearance order
-    doc_freq = Counter(chain.from_iterable(map(dict.fromkeys, corpus)))
-    if not doc_freq:
+    """Index every distinct token in first-appearance order, and count the
+    number of documents each term occurs in.
+
+    Each token is mapped to its index once; one sort of the keys
+    document * |V| + term then gives the distinct (document, term) pairs,
+    which the vocabulary keeps as its `presence`."""
+    terms = list(dict.fromkeys(chain.from_iterable(corpus)))
+    if not terms:
         raise ValidationError("empty vocabulary: no tokens in any document")
-    return Vocabulary(terms=list(doc_freq),
-                      doc_freq=np.fromiter(doc_freq.values(), dtype=np.int64,
-                                           count=len(doc_freq)),
-                      n_docs=len(corpus))
+    t2i = dict(zip(terms, range(len(terms))))
+    lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    keys = np.repeat(np.arange(len(corpus)) * len(terms), lengths)
+    keys += np.fromiter(map(t2i.__getitem__, chain.from_iterable(corpus)),
+                        dtype=np.int64, count=len(keys))
+    keys.sort()
+    # np.unique would take a hash path here, many times slower than the sort
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    docs, term_ids = np.divmod(keys, len(terms))
+    return Vocabulary(terms=terms,
+                      doc_freq=np.bincount(term_ids, minlength=len(terms)),
+                      n_docs=len(corpus), term_to_index=t2i,
+                      presence=Presence(docs, term_ids))
 
 
 def fit_tfidf(vocab: Vocabulary) -> TfidfModel:
@@ -127,30 +149,21 @@ def chi2_from_counts(a, b, c, d):
     return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
 
 
-def chi2_scores(
-    presence: Sequence[Iterable[int]],
-    labels: Sequence[SentimentLabel],
-    n_terms: int,
-) -> Chi2Scores:
-    """Score every term's association with the label from presence sets.
-
-    `presence` holds, per document, the distinct indices of the terms that
-    occur in it (a set each, as `presence_sets` gives them).
-    """
-    if len(presence) != len(labels) or not labels:
-        raise ValidationError("presence and labels must be equal-length and non-empty")
-    n_pos = sum(1 for y in labels if y == SentimentLabel.POSITIVE)
+def chi2_scores(vocab: Vocabulary, labels: Sequence[SentimentLabel]) -> Chi2Scores:
+    """Score every term's association with the label over the documents
+    that `vocab` was built from, whose labels are `labels`."""
+    if vocab.presence is None or len(labels) != vocab.n_docs or not labels:
+        raise ValidationError("chi-squared needs one label per document of a "
+                              "vocabulary built by build_vocabulary")
+    positive = np.array([y == SentimentLabel.POSITIVE for y in labels])
+    n_pos = int(positive.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("chi-squared undefined for one class")
-    lengths = np.fromiter(map(len, presence), dtype=np.int64, count=len(presence))
-    flat = np.fromiter(chain.from_iterable(presence), dtype=np.int64,
-                       count=int(lengths.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= n_terms):
-        raise ValidationError(f"presence holds a term index outside 0..{n_terms - 1}")
-    positive = np.repeat([y == SentimentLabel.POSITIVE for y in labels], lengths)
-    a = np.bincount(flat[positive], minlength=n_terms).astype(np.float64)
-    b = np.bincount(flat[~positive], minlength=n_terms).astype(np.float64)
+    docs, terms = vocab.presence.docs, vocab.presence.terms
+    in_pos = positive[docs]
+    a = np.bincount(terms[in_pos], minlength=len(vocab)).astype(np.float64)
+    b = np.bincount(terms[~in_pos], minlength=len(vocab)).astype(np.float64)
     return Chi2Scores(score=chi2_from_counts(a, b, n_pos - a, n_neg - b))
 
 
@@ -176,10 +189,4 @@ def select_top_k(scores: Chi2Scores, vocab: Vocabulary, k: int) -> Vocabulary:
         n_docs=vocab.n_docs,
         term_to_index={},
     )
-
-
-def presence_sets(corpus: Sequence[list], vocab: Vocabulary) -> list:
-    """Per-document sets of in-vocabulary term indices (chi-squared input)."""
-    t2i = vocab.term_to_index
-    return [{t2i[t] for t in doc if t in t2i} for doc in corpus]
 

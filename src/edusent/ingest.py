@@ -1,8 +1,9 @@
 """Dataset ingestion: CSV parsing, star-rating labels, train/test splits.
 
 The expected input is a RateMyProfessor-style CSV with one row per student
-comment. Rows without a usable comment or with broken rating cells are
-dropped (never imputed) and the drops are tallied in a DropReport.
+comment. One pass turns each row into a labelled example, or drops it
+(never imputing a cell) and tallies the drop in a DropReport. A split is
+two lists of example indices.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +36,9 @@ DEFAULT_SCHEMA = {
 #: columns that must exist in the CSV header
 MANDATORY_FIELDS = ("comment", "student_star")
 
+#: the rating columns a row is checked against, in the order of the checks
+RATING_FIELDS = ("student_star", "star_rating", "diff_index", "student_difficult")
+
 
 class SentimentLabel(IntEnum):
     """Binary sentiment. Negative < Positive so label order follows rating order."""
@@ -47,20 +51,9 @@ class SentimentLabel(IntEnum):
 
 
 @dataclass
-class FeedbackRecord:
-    """One retained dataset row: the comment plus its rating context."""
-
-    comment: str
-    student_star: float
-    star_rating: Optional[float] = None
-    diff_index: Optional[float] = None
-    student_difficult: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-
-@dataclass
 class DropReport:
-    """Tally of rows dropped during parsing, by reason."""
+    """Tally of the rows read: dropped ones by reason, and retained ones left
+    out of the binary problem for a neutral rating."""
 
     rows: int = 0
     retained: int = 0
@@ -68,6 +61,7 @@ class DropReport:
     missing_rating: int = 0
     unparsable_rating: int = 0
     out_of_range_rating: int = 0
+    neutral_excluded: int = 0
 
     @property
     def dropped(self) -> int:
@@ -84,6 +78,7 @@ class DropReport:
                 "unparsable_rating": self.unparsable_rating,
                 "out_of_range_rating": self.out_of_range_rating,
             },
+            "neutral_excluded": self.neutral_excluded,
         }
 
 
@@ -98,32 +93,30 @@ class LabeledExample:
 
 @dataclass
 class DatasetSplit:
-    train: list[LabeledExample]
-    test: list[LabeledExample]
+    train_ids: list[int]
+    test_ids: list[int]
     seed: int
     fraction: float
-    train_ids: list[int] = field(default_factory=list)
-    test_ids: list[int] = field(default_factory=list)
-
-
-def _parse_rating(cell: str) -> Optional[float]:
-    """None for blank cells; ValueError propagates for junk."""
-    cell = cell.strip()
-    if not cell:
-        return None
-    return float(cell)
 
 
 def parse_csv(
     source: Union[str, Path, BinaryIO],
     schema: Optional[dict] = None,
-) -> tuple[list[FeedbackRecord], DropReport]:
-    """Parse a UTF-8 CSV with a header row into FeedbackRecords.
+) -> tuple[list[LabeledExample], DropReport]:
+    """Read a UTF-8 CSV with a header row into labelled examples, one row at
+    a time.
 
-    `schema` maps logical field names (see DEFAULT_SCHEMA) to column names.
-    Rows with an empty comment are dropped and counted; rating cells that do
-    not parse or fall outside [1.0, 5.0] likewise drop the whole row. Raises
-    SchemaError if a mandatory column is absent from the header.
+    `schema` maps logical field names (see DEFAULT_SCHEMA) to column names;
+    a name that the header repeats is read from its last column, and a cell
+    past the end of a short row is blank. Blank lines are skipped. A row is
+    dropped and counted under its reason if its comment is blank, if a
+    rating cell (checked in RATING_FIELDS order, the first fault counting)
+    does not parse or falls outside [1.0, 5.0], or else if its student_star
+    is blank. A retained row is labelled by `binarize_label`, or counted
+    and left out if its student_star is neutral. Raises SchemaError if a
+    mandatory column is absent from the header.
+
+    Returns (examples, report); the examples' tokens are left empty.
     """
     schema = {**DEFAULT_SCHEMA, **(schema or {})}
     if hasattr(source, "read"):
@@ -132,60 +125,54 @@ def parse_csv(
     else:
         text = read_utf8(source)
 
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
     if header is None:
         raise SchemaError("CSV has no header row")
+    column = {name: i for i, name in enumerate(header)}
     for logical in MANDATORY_FIELDS:
-        if schema[logical] not in header:
+        if schema[logical] not in column:
             raise SchemaError(
                 f"missing mandatory column {schema[logical]!r} (logical field {logical!r})"
             )
+    comment_at = column[schema["comment"]]
+    ratings_at = [column[schema[f]] for f in RATING_FIELDS if schema[f] in column]
+    star_at = column[schema["student_star"]]
+    width = max(comment_at, *ratings_at) + 1
 
-    rating_fields = ("student_star", "star_rating", "diff_index", "student_difficult")
-    present_ratings = [f for f in rating_fields if schema[f] in header]
-    known_columns = {schema[f] for f in ("comment",) + rating_fields if schema[f] in header}
-
-    records: list[FeedbackRecord] = []
+    examples: list[LabeledExample] = []
     report = DropReport()
     for row in reader:
+        if not row:
+            continue
         report.rows += 1
-        comment = (row.get(schema["comment"]) or "").strip()
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        comment = row[comment_at].strip()
         if not comment:
             report.missing_comment += 1
             continue
-
-        values: dict[str, Optional[float]] = {}
-        bad_reason = None
-        for fieldname in present_ratings:
-            cell = row.get(schema[fieldname]) or ""
+        for at in ratings_at:
+            cell = row[at].strip()
             try:
-                value = _parse_rating(cell)
+                if cell and not RATING_MIN <= float(cell) <= RATING_MAX:
+                    report.out_of_range_rating += 1
+                    break
             except ValueError:
-                bad_reason = "unparsable_rating"
+                report.unparsable_rating += 1
                 break
-            if value is not None and not (RATING_MIN <= value <= RATING_MAX):
-                bad_reason = "out_of_range_rating"
-                break
-            values[fieldname] = value
-        if bad_reason is None and values.get("student_star") is None:
-            bad_reason = "missing_rating"
-        if bad_reason is not None:
-            setattr(report, bad_reason, getattr(report, bad_reason) + 1)
-            continue
-
-        extra = {k: (v or "") for k, v in row.items()
-                 if k is not None and k not in known_columns}
-        records.append(FeedbackRecord(
-            comment=comment,
-            student_star=values["student_star"],
-            star_rating=values.get("star_rating"),
-            diff_index=values.get("diff_index"),
-            student_difficult=values.get("student_difficult"),
-            extra=extra,
-        ))
-        report.retained += 1
-    return records, report
+        else:
+            star = row[star_at].strip()
+            if not star:
+                report.missing_rating += 1
+                continue
+            report.retained += 1
+            label = binarize_label(float(star))
+            if label is None:
+                report.neutral_excluded += 1
+            else:
+                examples.append(LabeledExample([], comment, label))
+    return examples, report
 
 
 def binarize_label(student_star: float) -> Optional[SentimentLabel]:
@@ -206,46 +193,31 @@ def binarize_label(student_star: float) -> Optional[SentimentLabel]:
     return None
 
 
-def label_records(records: Iterable[FeedbackRecord]) -> tuple[list[LabeledExample], int]:
-    """Produce LabeledExamples from records; neutral-band rows are excluded.
-
-    Returns (examples, neutral_excluded_count). tokens are left empty here.
-    """
-    examples: list[LabeledExample] = []
-    neutral = 0
-    for rec in records:
-        label = binarize_label(rec.student_star)
-        if label is None:
-            neutral += 1
-            continue
-        examples.append(LabeledExample(tokens=[], raw_comment=rec.comment, label=label))
-    return examples, neutral
-
-
 def train_size(n: int, fraction: float) -> int:
     """|train| = floor(fraction * n + 0.5), the documented rounding rule."""
     return int(math.floor(fraction * n + 0.5))
 
 
-def split(examples: list[LabeledExample], fraction: float, seed: int) -> DatasetSplit:
-    """Deterministic stratified train/test split.
+def split(labels: Sequence[SentimentLabel], fraction: float, seed: int) -> DatasetSplit:
+    """Deterministic stratified train/test split of the examples whose
+    labels are `labels`, by index.
 
     Per-class train counts are kept within one example of the overall
     fraction; classes with fewer than 2 members fall back to an unstratified
-    pool (with a warning). Identical (examples, fraction, seed) inputs give
+    pool (with a warning). Identical (labels, fraction, seed) inputs give
     identical splits.
     """
-    if not examples:
+    if not labels:
         raise ValidationError("cannot split an empty example list")
     if not (0.0 < fraction < 1.0):
         raise ValidationError(f"split fraction must lie in (0, 1), got {fraction}")
 
-    n = len(examples)
+    n = len(labels)
     target = train_size(n, fraction)
 
     by_label: dict[SentimentLabel, list[int]] = {}
-    for i, ex in enumerate(examples):
-        by_label.setdefault(ex.label, []).append(i)
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
 
     big = {lab: idx for lab, idx in by_label.items() if len(idx) >= 2}
     pool: list[int] = []
@@ -285,11 +257,4 @@ def split(examples: list[LabeledExample], fraction: float, seed: int) -> Dataset
     train_set = set(train_ids)
     train_ids = sorted(train_set)
     test_ids = [i for i in range(n) if i not in train_set]
-    return DatasetSplit(
-        train=[examples[i] for i in train_ids],
-        test=[examples[i] for i in test_ids],
-        seed=seed,
-        fraction=fraction,
-        train_ids=train_ids,
-        test_ids=test_ids,
-    )
+    return DatasetSplit(train_ids=train_ids, test_ids=test_ids, seed=seed, fraction=fraction)

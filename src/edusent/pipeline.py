@@ -43,19 +43,11 @@ from .features import (
     build_vocabulary,
     chi2_scores,
     fit_tfidf,
-    presence_sets,
     rank_terms,
     select_top_k,
     tfidf_transform,
 )
-from .ingest import (
-    DatasetSplit,
-    LabeledExample,
-    SentimentLabel,
-    label_records,
-    parse_csv,
-    split,
-)
+from .ingest import LabeledExample, SentimentLabel, parse_csv, split
 from .linear import LinearModel, predict_proba
 from .neural import (
     RnnDims,
@@ -312,20 +304,18 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     returns the drop report it writes to drop_report.json."""
     if not cfg.data:
         raise SchemaError("no input CSV configured (--data or config key 'data')")
-    records, drops = parse_csv(cfg.data, schema=column_schema(cfg))
-    examples, neutral_excluded = label_records(records)
+    examples, drops = parse_csv(cfg.data, schema=column_schema(cfg))
     if not examples:
         raise ValidationError("no labeled examples survive cleaning")
     sw, rules = load_lexicons(cfg)
     for ex in examples:
         ex.tokens = preprocess(ex.raw_comment, sw, rules)
 
-    ds: DatasetSplit = split(examples, cfg.fraction, cfg.seed)
-    train_tokens = [ex.tokens for ex in ds.train]
-    train_labels = [ex.label for ex in ds.train]
+    ds = split([ex.label for ex in examples], cfg.fraction, cfg.seed)
+    train_tokens = [examples[i].tokens for i in ds.train_ids]
+    train_labels = [examples[i].label for i in ds.train_ids]
     vocab_full = build_vocabulary(train_tokens)
-    scores = chi2_scores(presence_sets(train_tokens, vocab_full),
-                         train_labels, len(vocab_full))
+    scores = chi2_scores(vocab_full, train_labels)
     selected = select_top_k(scores, vocab_full, cfg.k)
     tfidf = fit_tfidf(selected)
 
@@ -358,9 +348,7 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
         "class_weights": {"Positive": w_pos, "Negative": w_neg},
     })
 
-    report = drops.as_dict()
-    report["neutral_excluded"] = neutral_excluded
-    report["version"] = 1
+    report = {**drops.as_dict(), "version": 1}
     write_json(out / "drop_report.json", report)
     return report
 

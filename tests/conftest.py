@@ -6,16 +6,21 @@ explicit pair counting.
 """
 
 import base64
+import csv
 import hashlib
+import io
 import json
 import math
 import struct
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edusent.features import Csr
+from edusent.errors import SchemaError
+from edusent.features import Csr, chi2_from_counts
 from edusent.neural import RnnDims, parameter_shapes
 from edusent.resample import SmoteConfig
 from edusent.textprep import LemmaRuleTable, StopwordList
@@ -124,6 +129,85 @@ def reference_smote(X: np.ndarray, n_new: int, cfg: SmoteConfig) -> list:
         lam = float(rng.uniform(0.0, 1.0))
         out.append((parent, neighbor, lam, X[parent] + lam * (X[neighbor] - X[parent])))
     return out
+
+
+# --- reference ingest: csv.DictReader records, then labels ----------------------
+
+def reference_parse_csv(text: str, schema=None):
+    """The two-pass reader: `csv.DictReader` rows, checked field by field into
+    (comment, student_star) records, which are then labelled.
+
+    Returns ((comment, label) pairs, counts), where counts has the fields
+    of `DropReport`."""
+    from edusent.ingest import DEFAULT_SCHEMA, RATING_FIELDS, binarize_label
+
+    schema = {**DEFAULT_SCHEMA, **(schema or {})}
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames
+    if header is None:
+        raise SchemaError("CSV has no header row")
+    for logical in ("comment", "student_star"):
+        if schema[logical] not in header:
+            raise SchemaError(
+                f"missing mandatory column {schema[logical]!r} (logical field {logical!r})")
+    present = [f for f in RATING_FIELDS if schema[f] in header]
+    counts = dict.fromkeys(("rows", "retained", "missing_comment", "missing_rating",
+                            "unparsable_rating", "out_of_range_rating",
+                            "neutral_excluded"), 0)
+    records = []
+    for row in reader:
+        counts["rows"] += 1
+        comment = (row.get(schema["comment"]) or "").strip()
+        if not comment:
+            counts["missing_comment"] += 1
+            continue
+        values, bad = {}, None
+        for name in present:
+            cell = (row.get(schema[name]) or "").strip()
+            if not cell:
+                values[name] = None
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                bad = "unparsable_rating"
+                break
+            if not 1.0 <= value <= 5.0:
+                bad = "out_of_range_rating"
+                break
+            values[name] = value
+        if bad is None and values.get("student_star") is None:
+            bad = "missing_rating"
+        if bad is not None:
+            counts[bad] += 1
+            continue
+        counts["retained"] += 1
+        records.append((comment, values["student_star"]))
+    pairs = []
+    for comment, star in records:
+        label = binarize_label(star)
+        if label is None:
+            counts["neutral_excluded"] += 1
+        else:
+            pairs.append((comment, label))
+    return pairs, counts
+
+
+# --- reference features: a Counter of per-document sets ------------------------
+
+def reference_vocabulary_chi2(corpus, labels):
+    """(terms, doc_freq, chi-squared scores) from a Counter over each
+    document's distinct terms and a per-document loop over term sets."""
+    doc_freq = Counter(chain.from_iterable(map(dict.fromkeys, corpus)))
+    terms = list(doc_freq)
+    index = {t: i for i, t in enumerate(terms)}
+    a, b = np.zeros(len(terms)), np.zeros(len(terms))
+    for doc, y in zip(corpus, labels):
+        for i in {index[t] for t in doc}:
+            (a if int(y) == 1 else b)[i] += 1
+    n_pos = sum(int(y) == 1 for y in labels)
+    n_neg = len(labels) - n_pos
+    return terms, [doc_freq[t] for t in terms], chi2_from_counts(a, b, n_pos - a, n_neg - b)
 
 
 def make_labels(values):

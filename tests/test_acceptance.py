@@ -31,7 +31,7 @@ from edusent.features import (
     fit_tfidf,
     tfidf_transform,
 )
-from edusent.ingest import LabeledExample, SentimentLabel, split
+from edusent.ingest import SentimentLabel, split
 from edusent.linear import (
     LinearModel,
     LinearTrainConfig,
@@ -291,11 +291,9 @@ def test_criterion_7_invariant_suites():
         assert predict_proba(zero_lr, csr_rows([[0.0, 0.7, 0.0, 0.0]])).tolist() == [0.5]
 
         # split determinism and partition identity
-        examples = [LabeledExample(tokens=[], raw_comment=f"c{i}",
-                                   label=SentimentLabel(i % 2))
-                    for i in range(25)]
-        s1 = split(examples, 0.8, seed=4)
-        s2 = split(examples, 0.8, seed=4)
+        labels = [SentimentLabel(i % 2) for i in range(25)]
+        s1 = split(labels, 0.8, seed=4)
+        s2 = split(labels, 0.8, seed=4)
         assert s1.train_ids == s2.train_ids and s1.test_ids == s2.test_ids
         assert sorted(s1.train_ids + s1.test_ids) == list(range(25))
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -13,7 +14,7 @@ import edusent.neural.train
 import edusent.pipeline
 from edusent.cli import DEFAULT_SENSITIVITY_SENTENCES, main
 from edusent.config import build_config
-from edusent.features import build_vocabulary, chi2_scores, presence_sets
+from edusent.features import build_vocabulary, chi2_scores
 from edusent.neural import RnnDims, init_model, train_rnn
 from edusent.pipeline import BUNDLE_FILES, load_bundle, load_model, save_rnn_model
 
@@ -65,8 +66,7 @@ class TestPrepare:
         bundle = load_bundle(bundle_dir)
         train = bundle.subset(bundle.train_ids)
         vocab = build_vocabulary([ex.tokens for ex in train])
-        scores = chi2_scores(presence_sets([ex.tokens for ex in train], vocab),
-                             [ex.label for ex in train], len(vocab)).score
+        scores = chi2_scores(vocab, [ex.label for ex in train]).score
         lines = (bundle_dir / "chi2_report.csv").read_text().splitlines()
         assert lines[0] == "term,score"
         rows = [line.split(",") for line in lines[1:]]
@@ -261,6 +261,23 @@ class TestTrain:
                      "1", "--resume", str(bundle_dir / "model_rnn.json")]) == 0
         [(max_len, lengths)] = seen
         assert max_len == 3 and max(lengths) == 3  # not the default max_len of 128
+
+    def test_resume_rnn_refuses_other_dims(self, bundle_dir, capsys):
+        assert main(["train", "rnn", "--out", str(bundle_dir), "--seed", "7",
+                     *FAST_RNN, "--rnn-epochs", "1", "--max-len", "5"]) == 0
+        model = bundle_dir / "model_rnn.json"
+        saved = model.read_bytes()
+        resume = ["train", "rnn", "--out", str(bundle_dir), "--seed", "7",
+                  "--rnn-epochs", "1", "--resume", str(model)]
+        capsys.readouterr()
+        for flag, given, want in (("--embed-dim", "9", "8"), ("--hidden-dim", "7", "8"),
+                                  ("--attn-dim", "8", "6"), ("--max-len", "128", "5")):
+            assert main(resume + [flag, given]) == 1
+            err = capsys.readouterr().err
+            assert f"{flag} {given} differs from the {want} of" in err, err
+            assert model.read_bytes() == saved
+        assert main(resume + ["--embed-dim", "8", "--hidden-dim", "8", "--attn-dim", "6",
+                              "--max-len", "5"]) == 0
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("kind, key, flag", [
@@ -570,3 +587,32 @@ def test_main_turns_off_numpy_huge_pages(tmp_path):
     edusent.cli._set_madvise_hugepage(True)
     assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
     assert edusent.cli._set_madvise_hugepage(False) is False
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    argv = ["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    assert main(argv) == main(argv) == 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # the command is looked up when main runs, so a patched one is called
+    monkeypatch.setattr(edusent.cli, "cmd_compare", lambda cfg, args: 7)
+    assert main(argv) == 7
+
+
+@pytest.mark.parametrize("command", [[], ["prepare"], ["train"], ["evaluate"], ["predict"],
+                                     ["sensitivity"], ["compare"]])
+def test_help_is_a_fresh_parsers_help(command, capsys):
+    outputs = []
+    for parse in (edusent.cli.build_parser.__wrapped__().parse_args, main, main):
+        with pytest.raises(SystemExit) as done:
+            parse(command + ["--help"])
+        assert done.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import chi2_bruteforce, make_labels
+from conftest import chi2_bruteforce, make_labels, reference_vocabulary_chi2
 from edusent.errors import ValidationError
 from edusent.features import (
     Chi2Scores,
@@ -15,7 +15,6 @@ from edusent.features import (
     chi2_from_counts,
     chi2_scores,
     fit_tfidf,
-    presence_sets,
     rank_terms,
     select_top_k,
     tfidf_transform,
@@ -127,8 +126,7 @@ class TestTfidf:
         corpus = [[f"w{j}" for j in rng.integers(0, 40, size=rng.integers(1, 25))]
                   for _ in range(60)]
         vocab = build_vocabulary(corpus)
-        scores = chi2_scores(presence_sets(corpus, vocab),
-                             make_labels([i % 2 for i in range(60)]), len(vocab))
+        scores = chi2_scores(vocab, make_labels([i % 2 for i in range(60)]))
         model = fit_tfidf(select_top_k(scores, vocab, 25))  # some corpus terms are OOV
         docs = corpus + [[], ["oov", "zzz"], ["oov"] + corpus[0]]
         docs = [docs[i] for i in rng.permutation(len(docs))]
@@ -190,7 +188,7 @@ class TestChi2:
         corpus = [["good"], ["good", "bad"], ["bad"], ["bad"]]
         labels = make_labels([1, 1, 0, 0])
         v = build_vocabulary(corpus)
-        scores = chi2_scores(presence_sets(corpus, v), labels, len(v))
+        scores = chi2_scores(v, labels)
         # "good": a=2, b=0, c=0, d=2 -> perfect association, N=4
         assert scores.score[v.term_to_index["good"]] == pytest.approx(4.0)
         # "bad": a=1, b=2, c=1, d=0
@@ -200,27 +198,55 @@ class TestChi2:
     @given(st.lists(st.tuples(st.lists(st.integers(0, 5), max_size=8), st.booleans()),
                     min_size=1, max_size=20))
     def test_counts_equal_a_per_document_loop(self, rows):
+        corpus = [[f"t{i}" for i in doc] for doc, _ in rows]
         labels = make_labels([y for _, y in rows])
-        if len(set(labels)) < 2:
+        if len(set(labels)) < 2 or not any(corpus):
             return
-        a, b = np.zeros(6), np.zeros(6)
-        for doc, y in rows:
-            for i in set(doc):
-                (a if y else b)[i] += 1
+        v = build_vocabulary(corpus)
+        a, b = np.zeros(len(v)), np.zeros(len(v))
+        for doc, y in zip(corpus, labels):
+            for t in set(doc):
+                (a if y else b)[v.term_to_index[t]] += 1
         n_pos = sum(y for _, y in rows)
         want = chi2_from_counts(a, b, n_pos - a, len(rows) - n_pos - b)
-        got = chi2_scores([set(doc) for doc, _ in rows], labels, 6).score
+        got = chi2_scores(v, labels).score
         assert got.tobytes() == want.tobytes()
 
-    def test_index_outside_vocabulary(self):
-        with pytest.raises(ValidationError, match="outside"):
-            chi2_scores([{0}, {2}], make_labels([1, 0]), 2)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "e'e", "f"]), max_size=9),
+                    min_size=1, max_size=25),
+           st.data())
+    def test_equals_counter_of_document_sets(self, corpus, data):
+        """Empty documents and repeated tokens included; the flat-id path
+        gives the reference's term order, df and chi-squared bits."""
+        labels = make_labels(data.draw(st.lists(st.booleans(), min_size=len(corpus),
+                                                max_size=len(corpus))))
+        if not any(corpus):
+            with pytest.raises(ValidationError, match="empty vocabulary"):
+                build_vocabulary(corpus)
+            return
+        v = build_vocabulary(corpus)
+        terms, doc_freq, scores = reference_vocabulary_chi2(corpus, labels)
+        assert v.terms == terms
+        assert v.doc_freq.tolist() == doc_freq
+        assert [v.term_to_index[t] for t in terms] == list(range(len(terms)))
+        if len(set(labels)) < 2:
+            with pytest.raises(ValidationError, match="one class"):
+                chi2_scores(v, labels)
+            return
+        assert chi2_scores(v, labels).score.tobytes() == scores.tobytes()
+
+    def test_needs_one_label_per_built_document(self):
+        v = build_vocabulary([["a"], ["b"]])
+        with pytest.raises(ValidationError, match="one label per document"):
+            chi2_scores(v, make_labels([1, 0, 1]))
+        selected = select_top_k(chi2_scores(v, make_labels([1, 0])), v, 1)
+        with pytest.raises(ValidationError, match="built by build_vocabulary"):
+            chi2_scores(selected, make_labels([1, 0]))
 
     def test_single_class_error(self):
-        corpus = [["a"], ["b"]]
-        v = build_vocabulary(corpus)
+        v = build_vocabulary([["a"], ["b"]])
         with pytest.raises(ValidationError, match="one class"):
-            chi2_scores(presence_sets(corpus, v), make_labels([1, 1]), len(v))
+            chi2_scores(v, make_labels([1, 1]))
 
 
 class TestSelectTopK:
