@@ -22,7 +22,7 @@ except ImportError:
 from .config import PipelineConfig, build_config
 from .errors import SchemaError, ValidationError, read_utf8
 from .evalmetrics import ConfusionMatrix, RocCurve, evaluation_report
-from .features import tfidf_transform
+from .features import IdRows, tfidf_transform
 from .ingest import split
 from .linear import LinearTrainConfig, classify, train_lr
 from .neural import NeuralTrainConfig, RnnDims, train_rnn
@@ -75,11 +75,10 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         kind, initial = load_bound_model(args.resume, bundle.tfidf, bundle.vocab_ref)
         if kind != args.kind:
             raise SchemaError(f"resume model {args.resume} is a {kind} model, not {args.kind}")
-    train = bundle.subset(bundle.train_ids)
+    train_labels = bundle.labels_of(bundle.train_ids)
     if args.kind == "logreg":
-        X = tfidf_transform(bundle.tfidf, [ex.tokens for ex in train])
-        y = [ex.label for ex in train]
-        Xb, yb = balance_sparse(X, y, len(bundle.tfidf.vocab),
+        X = tfidf_transform(bundle.tfidf, bundle.rows.take(bundle.train_ids))
+        Xb, yb = balance_sparse(X, train_labels, len(bundle.tfidf.vocab),
                                 SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
         result = train_lr(
             Xb, yb,
@@ -112,10 +111,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     rnn_train_ids = list(bundle.train_ids)
     rnn_val_ids = list(bundle.train_ids)
     if 0.0 < cfg.val_fraction < 1.0:
-        inner = split([ex.label for ex in train], 1.0 - cfg.val_fraction, cfg.seed + 1)
+        inner = split(train_labels, 1.0 - cfg.val_fraction, cfg.seed + 1)
         val_ids = [bundle.train_ids[j] for j in inner.test_ids]
-        val_label_kinds = {bundle.examples[i].label for i in val_ids}
-        if len(val_ids) >= 10 and len(val_label_kinds) == 2:
+        if len(val_ids) >= 10 and len(set(bundle.labels_of(val_ids))) == 2:
             rnn_train_ids = [bundle.train_ids[j] for j in inner.train_ids]
             rnn_val_ids = val_ids
         else:
@@ -125,7 +123,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
                   "validating on the training split")
     train_ds, kept = sequence_data(bundle, rnn_train_ids, dims.max_len, drop_empty=True)
     val_ds, _ = sequence_data(bundle, rnn_val_ids, dims.max_len, drop_empty=False)
-    w_pos, w_neg = class_weights([bundle.examples[i].label for i in kept])
+    w_pos, w_neg = class_weights(bundle.labels_of(kept))
     ncfg = NeuralTrainConfig(
         epochs=cfg.rnn_epochs, batch_size=cfg.rnn_batch_size,
         learning_rate=cfg.rnn_learning_rate, weight_pos=w_pos, weight_neg=w_neg,
@@ -146,12 +144,11 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     bundle = load_bundle(cfg.out)
     kind, model = load_bound_model(args.model, bundle.tfidf, bundle.vocab_ref)
-    test = bundle.subset(bundle.test_ids)
-    if not test:
+    if not bundle.test_ids:
         raise ValidationError("empty evaluation set")
-    scores = score(model, bundle.tfidf, [ex.tokens for ex in test]).tolist()
-    report = evaluation_report([ex.label for ex in test], [classify(p) for p in scores],
-                               scores)
+    scores = score(model, bundle.tfidf, bundle.rows.take(bundle.test_ids)).tolist()
+    report = evaluation_report(bundle.labels_of(bundle.test_ids),
+                               [classify(p) for p in scores], scores)
     out = Path(cfg.out)
     write_json(out / f"eval_{kind}.json", report)
     if not cfg.no_plots:
@@ -166,26 +163,35 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _load_with_vocab(cfg: PipelineConfig, model_path: Path) -> tuple:
+def _load_with_vocab(cfg: PipelineConfig, model_path: Path, vocabs: dict) -> tuple:
     """The model at `model_path`, bound to the vocab.json beside it or else
-    in the bundle: (model, tfidf), the arguments `score` takes first."""
+    in the bundle: (model, tfidf), the arguments `_score_tokens` takes first.
+    `vocabs` holds each vocab.json this command has read, as (tfidf, SHA-256)
+    by path, so two models beside one vocabulary read it once."""
     for vocab_path in (model_path.parent / "vocab.json", Path(cfg.out) / "vocab.json"):
         if vocab_path.exists():
-            tfidf = load_tfidf_model(vocab_path)
-            _, model = load_bound_model(model_path, tfidf, file_sha256(vocab_path))
+            if vocab_path not in vocabs:
+                vocabs[vocab_path] = load_tfidf_model(vocab_path), file_sha256(vocab_path)
+            tfidf, vocab_ref = vocabs[vocab_path]
+            _, model = load_bound_model(model_path, tfidf, vocab_ref)
             return model, tfidf
     raise SchemaError(f"no vocab.json found near {model_path} or in {cfg.out}")
+
+
+def _score_tokens(model, tfidf, docs: list):
+    """`score` of token lists: each token looked up in `tfidf`'s vocabulary."""
+    return score(model, tfidf, IdRows.from_tokens(docs, tfidf.vocab.term_to_index))
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     sw, rules = load_lexicons(cfg)
     text = args.text if args.text is not None else sys.stdin.read()
     tokens = preprocess(text, sw, rules)
-    model, tfidf = _load_with_vocab(cfg, Path(args.model))
-    p = float(score(model, tfidf, [tokens])[0])
+    model, tfidf = _load_with_vocab(cfg, Path(args.model), {})
+    rows = IdRows.from_tokens([tokens], tfidf.vocab.term_to_index)
+    p = float(score(model, tfidf, rows)[0])
     # low signal: no token of the text is in the vocabulary
-    in_vocab = any(t in tfidf.vocab.term_to_index for t in tokens)
-    flags = [] if in_vocab else ["low-signal input"]
+    flags = ["low-signal input"] if len(rows.ids) == 0 else []
     print(json.dumps(
         {"label": str(classify(p)), "p_positive": p, "flags": flags},
         sort_keys=True))
@@ -204,13 +210,15 @@ def cmd_sensitivity(cfg: PipelineConfig, args) -> int:
     sentences = (_read_sentences(args.sentences) if args.sentences
                  else list(DEFAULT_SENSITIVITY_SENTENCES))
     sw, rules = load_lexicons(cfg)
-    lr = _load_with_vocab(cfg, Path(args.lr_model))
-    rnn = _load_with_vocab(cfg, Path(args.rnn_model))
+    vocabs: dict = {}
+    lr = _load_with_vocab(cfg, Path(args.lr_model), vocabs)
+    rnn = _load_with_vocab(cfg, Path(args.rnn_model), vocabs)
     rows = []
     for sid, sentence in enumerate(sentences, start=1):
         # one sentence per call, so each value is the one `predict` gives
         docs = [preprocess(sentence, sw, rules)]
-        rows.append((sid, sentence, float(score(*lr, docs)[0]), float(score(*rnn, docs)[0])))
+        rows.append((sid, sentence, float(_score_tokens(*lr, docs)[0]),
+                     float(_score_tokens(*rnn, docs)[0])))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "sensitivity.csv",

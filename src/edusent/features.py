@@ -4,16 +4,17 @@ Conventions: idf uses the smoothed form ln((1+N)/(1+df)) + 1, document
 vectors are raw term counts times idf then L2-normalized, and chi-squared
 operates on binary term presence against the binary sentiment label.
 
-Documents become the rows of one `Csr` matrix, the only row format of the
-linear path: SMOTE appends rows to it and logistic regression trains on
-and scores it.
+A document enters as `IdRows`: its in-vocabulary term ids in token order.
+TF-IDF turns id rows into the rows of one `Csr` matrix, the only row
+format of the linear path: SMOTE appends rows to it and logistic
+regression trains on and scores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,17 +32,63 @@ class Presence:
     terms: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class IdRows:
+    """Documents as term ids: document i is ids[indptr[i]:indptr[i+1]], its
+    in-vocabulary tokens in token order, repeats kept."""
+
+    indptr: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @classmethod
+    def from_tokens(cls, docs: Sequence[list], term_to_index: dict) -> "IdRows":
+        """Token lists as id rows; out-of-vocabulary tokens drop out."""
+        lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+        ids = np.fromiter(map(term_to_index.get, chain.from_iterable(docs), repeat(-1)),
+                          dtype=np.int64, count=int(lengths.sum()))
+        return cls(np.concatenate(([0], np.cumsum(lengths))), ids)._without_missing()
+
+    def remap(self, table: np.ndarray) -> "IdRows":
+        """Each id i as table[i]; an id that maps to -1 drops out."""
+        return IdRows(self.indptr, table[self.ids])._without_missing()
+
+    def _without_missing(self) -> "IdRows":
+        """These rows without their -1 ids."""
+        keep = self.ids >= 0
+        return IdRows(np.concatenate(([0], np.cumsum(keep)))[self.indptr], self.ids[keep])
+
+    def take(self, rows: Sequence[int]) -> "IdRows":
+        """The documents `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return IdRows(indptr, self.ids[gather])
+
+    def sequences(self, max_len: int) -> list:
+        """Each document as a list of 1-based ids (0 is padding), cut after
+        its first `max_len` ids."""
+        flat = (self.ids + 1).tolist()
+        bounds = self.indptr.tolist()
+        return [flat[a:min(b, a + max_len)] for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class Vocabulary:
-    """Dense term index plus per-term document frequencies. `presence` is
-    kept by `build_vocabulary` for `chi2_scores`; a vocabulary made any
-    other way has none."""
+    """Dense term index plus per-term document frequencies. `presence` and
+    `corpus` are kept by `build_vocabulary`, for `chi2_scores` and for the
+    bundle's term ids; a vocabulary made any other way has neither."""
 
     terms: list
     doc_freq: np.ndarray
     n_docs: int
     term_to_index: dict = field(default_factory=dict)
     presence: Optional[Presence] = field(default=None, repr=False)
+    corpus: Optional[IdRows] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.term_to_index:
@@ -84,7 +131,8 @@ def build_vocabulary(corpus: Sequence[list]) -> Vocabulary:
     """Index every distinct token in first-appearance order, and count the
     number of documents each term occurs in.
 
-    Each token is mapped to its index once; one sort of the keys
+    Each token is mapped to its index once, and the vocabulary keeps the
+    mapped corpus as its `corpus`. One sort of the keys
     document * |V| + term then gives the distinct (document, term) pairs,
     which the vocabulary keeps as its `presence`."""
     terms = list(dict.fromkeys(chain.from_iterable(corpus)))
@@ -92,9 +140,10 @@ def build_vocabulary(corpus: Sequence[list]) -> Vocabulary:
         raise ValidationError("empty vocabulary: no tokens in any document")
     t2i = dict(zip(terms, range(len(terms))))
     lengths = np.fromiter(map(len, corpus), dtype=np.int64, count=len(corpus))
+    ids = np.fromiter(map(t2i.__getitem__, chain.from_iterable(corpus)),
+                      dtype=np.int64, count=int(lengths.sum()))
     keys = np.repeat(np.arange(len(corpus)) * len(terms), lengths)
-    keys += np.fromiter(map(t2i.__getitem__, chain.from_iterable(corpus)),
-                        dtype=np.int64, count=len(keys))
+    keys += ids
     keys.sort()
     # np.unique would take a hash path here, many times slower than the sort
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
@@ -102,7 +151,8 @@ def build_vocabulary(corpus: Sequence[list]) -> Vocabulary:
     return Vocabulary(terms=terms,
                       doc_freq=np.bincount(term_ids, minlength=len(terms)),
                       n_docs=len(corpus), term_to_index=t2i,
-                      presence=Presence(docs, term_ids))
+                      presence=Presence(docs, term_ids),
+                      corpus=IdRows(np.concatenate(([0], np.cumsum(lengths))), ids))
 
 
 def fit_tfidf(vocab: Vocabulary) -> TfidfModel:
@@ -110,25 +160,20 @@ def fit_tfidf(vocab: Vocabulary) -> TfidfModel:
     return TfidfModel(vocab=vocab, idf=idf)
 
 
-def tfidf_transform(model: TfidfModel, docs: Sequence[list]) -> Csr:
-    """One row per document: counts x idf, L2-normalized; out-of-vocabulary
-    tokens are ignored.
+def tfidf_transform(model: TfidfModel, docs: IdRows) -> Csr:
+    """One row per document of term ids into `model`'s vocabulary: counts x
+    idf, L2-normalized.
 
-    A document with no in-vocabulary tokens yields an empty row, which is
-    left unnormalized. Each row's norm sums its squared weights left to
-    right in column order.
+    A document with no ids yields an empty row, which is left unnormalized.
+    Each row's norm sums its squared weights left to right in column order.
     """
-    t2i = model.vocab.term_to_index
-    hits = [[t2i[t] for t in doc if t in t2i] for doc in docs]
-    lengths = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-    dim = len(model.vocab)
-    keys = np.repeat(np.arange(len(hits)), lengths) * dim + np.fromiter(
-        chain.from_iterable(hits), dtype=np.int64, count=int(lengths.sum()))
+    n, dim = len(docs), len(model.vocab)
+    keys = np.repeat(np.arange(n), np.diff(docs.indptr)) * dim + docs.ids
     keys, counts = np.unique(keys, return_counts=True)
     rows, indices = np.divmod(keys, dim)
     weights = counts * model.idf[indices]
-    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(hits)))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(hits)))))
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=n))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     return Csr(indptr, indices, weights / norms[rows])
 
 
@@ -174,15 +219,14 @@ def rank_terms(scores: Chi2Scores, vocab: Vocabulary) -> np.ndarray:
     return np.lexsort((np.array(vocab.terms), -scores.score))
 
 
-def select_top_k(scores: Chi2Scores, vocab: Vocabulary, k: int) -> Vocabulary:
-    """Keep the k best-scoring terms, reindexed densely.
-
-    Ties break towards lexicographically smaller terms; k >= |V| keeps
-    everything (still reindexed in score order).
+def select_top_k(ranked: np.ndarray, vocab: Vocabulary, k: int) -> Vocabulary:
+    """Keep the first k terms of `ranked` (the term indices of `vocab`, best
+    first, as `rank_terms` orders them), reindexed densely in that order;
+    k >= |V| keeps everything.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    chosen = rank_terms(scores, vocab)[:k]
+    chosen = ranked[:k]
     return Vocabulary(
         terms=[vocab.terms[i] for i in chosen],
         doc_freq=vocab.doc_freq[chosen],

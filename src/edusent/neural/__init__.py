@@ -10,7 +10,6 @@ from .model import (
     batch_probs,
     build_batch,
     embed,
-    encode_tokens,
     forward,
     init_model,
     lstm_step,
@@ -41,7 +40,6 @@ __all__ = [
     "build_batch",
     "dataset_loss",
     "embed",
-    "encode_tokens",
     "forward",
     "init_model",
     "lstm_step",

@@ -335,10 +335,3 @@ def build_batch(
         ids[r, : len(seq)] = seq
     mask = (ids != 0).astype(np.float64)
     return TokenBatch(ids=ids, mask=mask, labels=np.asarray(labels, dtype=np.float64))
-
-
-def encode_tokens(tokens: Sequence[str], term_to_index: dict, max_len: int) -> list:
-    """Map tokens to 1-based ids (0 is padding); out-of-vocabulary drops out."""
-    ids = [term_to_index[t] + 1 for t in tokens if t in term_to_index]
-    return ids[:max_len]
-

@@ -1,13 +1,24 @@
 """Shared orchestration: the on-disk dataset bundle, the model files and
 featurization paths.
 
-`prepare` writes a bundle directory of six files (cleaned examples, the
-frozen vocabulary + idf, the chi-squared report, the split manifest, the
-balance report, and the drop report). Training and evaluation read the
-bundle back. A model file records its vocabulary file's SHA-256, and
+`prepare` writes a bundle directory of seven files: the cleaned examples
+(examples.jsonl), the frozen vocabulary + idf, the chi-squared report, the
+split manifest, each example's label and term ids (term_ids.bin), the
+balance report, and the drop report. Training and evaluation read back
+vocab.json, split.json and term_ids.bin (`load_bundle`); examples.jsonl is
+the record of the cleaned text and tokens, which no command reads.
+
+term_ids.bin is little-endian: the raw SHA-256 of the vocab.json bytes it
+was built against, int32 n_rows, n_rows int32 labels (0 or 1), n_rows
+int32 lengths, then each example's in-vocabulary term ids, in token order
+and unclipped, one int32 each. It is written after vocab.json and
+split.json, so a prepare cut short before it leaves a file whose digest
+the new vocab.json does not match.
+
+A model file records its vocabulary file's SHA-256, and
 `load_bound_model` is the one way a command loads a model: it rejects a
 stale model/vocabulary pair. `score` is the one way a command scores
-text: it turns token lists into P(Positive) for either kind of model.
+documents: it turns id rows into P(Positive) for either kind of model.
 
 A logreg model is one JSON file. An rnn model is a pair: a small JSON
 header (`model_rnn.json`) and, beside it under the suffix `.f64`, its
@@ -36,8 +47,9 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .config import PipelineConfig, column_schema
-from .errors import SchemaError, ValidationError, read_utf8
+from .errors import SchemaError, ValidationError
 from .features import (
+    IdRows,
     TfidfModel,
     Vocabulary,
     build_vocabulary,
@@ -47,13 +59,12 @@ from .features import (
     select_top_k,
     tfidf_transform,
 )
-from .ingest import LabeledExample, SentimentLabel, parse_csv, split
+from .ingest import SentimentLabel, parse_csv, split
 from .linear import LinearModel, predict_proba
 from .neural import (
     RnnDims,
     RnnModel,
     SequenceDataset,
-    encode_tokens,
     parameter_shapes,
     predict_sequences,
 )
@@ -65,10 +76,11 @@ BUNDLE_FILES = (
     "vocab.json",
     "chi2_report.csv",
     "split.json",
+    "term_ids.bin",
     "balance.json",
     "drop_report.json",
 )
-_LABELS = {str(label): label for label in SentimentLabel}
+_LABELS = tuple(SentimentLabel)  # indexed by the label's value
 
 
 def file_sha256(path: Union[str, Path]) -> str:
@@ -276,14 +288,16 @@ def load_report_metrics(path: Union[str, Path]) -> dict:
 
 @dataclass
 class Bundle:
-    examples: list  # LabeledExample, cleaned, in bundle order
+    rows: IdRows  # each example's in-vocabulary term ids, in bundle order
+    labels: np.ndarray  # each example's label value (0 or 1), in bundle order
     tfidf: TfidfModel
     vocab_ref: str
     train_ids: list
     test_ids: list
 
-    def subset(self, ids: Sequence[int]) -> list:
-        return [self.examples[i] for i in ids]
+    def labels_of(self, ids: Sequence[int]) -> list:
+        """The SentimentLabel of each example in `ids`."""
+        return [_LABELS[y] for y in self.labels[ids].tolist()]
 
 
 def load_lexicons(cfg: PipelineConfig) -> tuple[StopwordList, LemmaRuleTable]:
@@ -311,13 +325,25 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     for ex in examples:
         ex.tokens = preprocess(ex.raw_comment, sw, rules)
 
-    ds = split([ex.label for ex in examples], cfg.fraction, cfg.seed)
-    train_tokens = [examples[i].tokens for i in ds.train_ids]
-    train_labels = [examples[i].label for i in ds.train_ids]
-    vocab_full = build_vocabulary(train_tokens)
+    labels = [ex.label for ex in examples]
+    ds = split(labels, cfg.fraction, cfg.seed)
+    train_labels = [labels[i] for i in ds.train_ids]
+    vocab_full = build_vocabulary([examples[i].tokens for i in ds.train_ids])
     scores = chi2_scores(vocab_full, train_labels)
-    selected = select_top_k(scores, vocab_full, cfg.k)
+    ranked = rank_terms(scores, vocab_full)
+    selected = select_top_k(ranked, vocab_full, cfg.k)
     tfidf = fit_tfidf(selected)
+
+    # term ids in bundle order: the train rows' from the mapping that built
+    # the vocabulary, the test rows' looked up token by token
+    remap = np.full(len(vocab_full), -1, dtype=np.int64)
+    remap[ranked[:cfg.k]] = np.arange(len(selected))
+    train = vocab_full.corpus.remap(remap)
+    test = IdRows.from_tokens([examples[i].tokens for i in ds.test_ids],
+                              selected.term_to_index)
+    rows = IdRows(np.concatenate((train.indptr, train.indptr[-1] + test.indptr[1:])),
+                  np.concatenate((train.ids, test.ids))
+                  ).take(np.argsort(ds.train_ids + ds.test_ids))
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,13 +356,19 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
 
     terms, chi2 = vocab_full.terms, scores.score.tolist()
     _write_atomic(out / "chi2_report.csv", (b"term,score\n", *(
-        f"{terms[i]},{chi2[i]!r}\n".encode("utf-8")
-        for i in rank_terms(scores, vocab_full).tolist())))
+        f"{terms[i]},{chi2[i]!r}\n".encode("utf-8") for i in ranked.tolist())))
 
     write_json(out / "split.json", {
         "version": 1, "seed": cfg.seed, "fraction": cfg.fraction,
         "train_ids": ds.train_ids, "test_ids": ds.test_ids,
     })
+
+    _write_atomic(out / "term_ids.bin", (
+        hashlib.sha256((out / "vocab.json").read_bytes()).digest(),
+        np.array([len(examples)], dtype="<i4"),
+        np.fromiter(labels, dtype="<i4", count=len(labels)),
+        np.diff(rows.indptr).astype("<i4"),
+        rows.ids.astype("<i4")))
 
     n_pos = sum(1 for lab in train_labels if lab == SentimentLabel.POSITIVE)
     n_neg = len(train_labels) - n_pos
@@ -353,60 +385,61 @@ def prepare_bundle(cfg: PipelineConfig) -> dict:
     return report
 
 
-def _example(row) -> LabeledExample:
-    tokens, raw, label = row["tokens"], row["raw"], _LABELS[row["label"]]
-    if not (isinstance(tokens, list) and isinstance(raw, str)):
-        raise TypeError("tokens are not a list, or raw is not a string")
-    "".join(tokens)  # a TypeError unless every token is a string
-    return LabeledExample(tokens=tokens, raw_comment=raw, label=label)
+_REPREPARE = "re-run prepare to write it again"
 
 
-#: examples.jsonl lines per json.loads call: few calls, and few parsed rows alive
-_PARSE_BLOCK = 512
-
-
-def _read_examples(path: Path) -> list:
-    examples = []
-    line_no = 0
-    lines = read_utf8(path).splitlines()
+def _term_ids(path: Path, vocab_ref: str, n_terms: int) -> tuple:
+    """(rows, labels) of the term_ids.bin at `path`, checked before any value
+    is used: its size against its header, its digest against `vocab_ref`
+    (the hex SHA-256 of vocab.json), labels in {0, 1}, lengths >= 0 that sum
+    to the id count, and ids in [0, n_terms)."""
     try:
-        for start in range(0, len(lines), _PARSE_BLOCK):
-            block = lines[start : start + _PARSE_BLOCK]
-            try:
-                # a raw newline cannot occur inside a JSON string, so no string
-                # runs from one line into the next
-                rows = json.loads("[" + ",\n".join(block) + "]")
-                if len(rows) == len(block):
-                    examples += [_example(row) for row in rows]
-                    continue
-            except (ValueError, KeyError, TypeError):
-                pass
-            # a line of this block is malformed: read it line by line to name it
-            for line_no, line in enumerate(block, start + 1):
-                examples.append(_example(json.loads(line)))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SchemaError(f"{path} is malformed at line {line_no}: {exc!r}") from exc
-    return examples
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise SchemaError(f"missing bundle file: {path}: {_REPREPARE}") from exc
+
+    def bad(what: str) -> SchemaError:
+        return SchemaError(f"{path} {what}: {_REPREPARE}")
+
+    head = 32 + 4
+    n = int(np.frombuffer(data, "<i4", 1, 32)[0]) if len(data) >= head else -1
+    body = len(data) - head - 8 * n
+    if n < 0 or body < 0 or body % 4:
+        raise bad(f"holds {len(data)} bytes, which do not fit its header")
+    if data[:32] != bytes.fromhex(vocab_ref):
+        raise bad("was built against another vocab.json")
+    labels = np.frombuffer(data, "<i4", n, head)
+    lengths = np.frombuffer(data, "<i4", n, head + 4 * n)
+    ids = np.frombuffer(data, "<i4", body // 4, head + 8 * n)
+    if np.any((labels != 0) & (labels != 1)):
+        raise bad("holds a label that is not 0 or 1")
+    if np.any(lengths < 0) or lengths.sum(dtype=np.int64) != len(ids):
+        raise bad(f"has row lengths that do not sum to its {len(ids)} term ids")
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_terms):
+        raise bad(f"holds a term id outside the {n_terms} terms of vocab.json")
+    return IdRows(np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), ids), labels
 
 
 def load_bundle(root: Union[str, Path]) -> Bundle:
+    """The bundle at `root`, from its vocab.json, split.json and
+    term_ids.bin. A split that names an example twice, or one outside
+    term_ids.bin, is a SchemaError naming split.json."""
     root = Path(root)
-    for name in ("examples.jsonl", "vocab.json", "split.json"):
-        if not (root / name).exists():
-            raise SchemaError(f"missing bundle file: {root / name}")
-    examples = _read_examples(root / "examples.jsonl")
+    tfidf = load_tfidf_model(root / "vocab.json")
+    vocab_ref = file_sha256(root / "vocab.json")
     manifest = read_json(root / "split.json")
+    rows, labels = _term_ids(root / "term_ids.bin", vocab_ref, len(tfidf.vocab))
     ids = {key: _array(manifest.get(key), f"{root / 'split.json'}: {key}", (None,),
-                       np.int64).tolist() for key in ("train_ids", "test_ids")}
-    if any(not 0 <= i < len(examples) for i in ids["train_ids"] + ids["test_ids"]):
+                       np.int64) for key in ("train_ids", "test_ids")}
+    named = np.concatenate(list(ids.values()))
+    if np.any((named < 0) | (named >= len(rows))):
         raise SchemaError(f"{root / 'split.json'} names an example outside the "
-                          f"{len(examples)} rows of examples.jsonl")
-    return Bundle(
-        examples=examples,
-        tfidf=load_tfidf_model(root / "vocab.json"),
-        vocab_ref=file_sha256(root / "vocab.json"),
-        **ids,
-    )
+                          f"{len(rows)} rows of {root / 'term_ids.bin'}: {_REPREPARE}")
+    if np.any(np.bincount(named, minlength=len(rows)) > 1):
+        raise SchemaError(f"{root / 'split.json'} names an example twice, within or "
+                          f"across train_ids and test_ids: {_REPREPARE}")
+    return Bundle(rows=rows, labels=labels, tfidf=tfidf, vocab_ref=vocab_ref,
+                  **{key: value.tolist() for key, value in ids.items()})
 
 
 def load_bound_model(path: Union[str, Path], tfidf: TfidfModel, tfidf_ref: str) -> tuple:
@@ -428,15 +461,13 @@ def load_bound_model(path: Union[str, Path], tfidf: TfidfModel, tfidf_ref: str) 
 
 
 def score(model: Union[LinearModel, RnnModel], tfidf: TfidfModel,
-          docs: Sequence[list]) -> np.ndarray:
-    """P(Positive) of each token list in `docs`, in order, under a model
-    bound to `tfidf`: TF-IDF rows for a LinearModel, clipped id sequences
-    for an RnnModel."""
+          docs: IdRows) -> np.ndarray:
+    """P(Positive) of each document of term ids into `tfidf`'s vocabulary,
+    in order, under a model bound to it: TF-IDF rows for a LinearModel,
+    clipped id sequences for an RnnModel."""
     if isinstance(model, LinearModel):
         return predict_proba(model, tfidf_transform(tfidf, docs))
-    t2i = tfidf.vocab.term_to_index
-    return predict_sequences(
-        model, [encode_tokens(doc, t2i, model.dims.max_len) for doc in docs])
+    return predict_sequences(model, docs.sequences(model.dims.max_len))
 
 
 def sequence_data(
@@ -445,20 +476,14 @@ def sequence_data(
     max_len: int,
     drop_empty: bool,
 ) -> tuple[SequenceDataset, list]:
-    """Encode examples to id sequences.
+    """The examples `ids` as id sequences clipped at `max_len`.
 
     With drop_empty (training), rows with no in-vocabulary tokens are
     removed; the second return value lists the example ids actually kept.
     """
-    t2i = bundle.tfidf.vocab.term_to_index
-    sequences = []
-    labels = []
-    kept = []
-    for i in ids:
-        seq = encode_tokens(bundle.examples[i].tokens, t2i, max_len)
-        if drop_empty and not seq:
-            continue
-        sequences.append(seq)
-        labels.append(float(int(bundle.examples[i].label)))
-        kept.append(i)
-    return SequenceDataset(sequences=sequences, labels=np.array(labels)), kept
+    sequences, kept = bundle.rows.take(ids).sequences(max_len), list(ids)
+    if drop_empty:
+        kept = [i for i, seq in zip(ids, sequences) if seq]
+        sequences = [seq for seq in sequences if seq]
+    return SequenceDataset(sequences=sequences,
+                           labels=bundle.labels[kept].astype(np.float64)), kept

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edusent.errors import SchemaError
-from edusent.features import Csr, chi2_from_counts
+from edusent.errors import SchemaError, read_utf8
+from edusent.features import Csr, IdRows, chi2_from_counts, tfidf_transform
 from edusent.neural import RnnDims, parameter_shapes
 from edusent.resample import SmoteConfig
 from edusent.textprep import LemmaRuleTable, StopwordList
@@ -273,6 +273,75 @@ def negation_pair_corpus(n_train_pairs: int = 200, n_test_pairs: int = 100, seed
     train = expand(chosen[:n_train_pairs])
     test = expand(chosen[n_train_pairs:])
     return train, test
+
+
+# --- reference token path: token lists straight to TF-IDF rows and sequences --
+
+def reference_tfidf_transform(model, docs) -> Csr:
+    """TF-IDF rows of token lists, each token looked up as the row is built:
+    counts x idf, L2-normalized, out-of-vocabulary tokens ignored."""
+    t2i = model.vocab.term_to_index
+    hits = [[t2i[t] for t in doc if t in t2i] for doc in docs]
+    lengths = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    dim = len(model.vocab)
+    keys = np.repeat(np.arange(len(hits)), lengths) * dim + np.fromiter(
+        chain.from_iterable(hits), dtype=np.int64, count=int(lengths.sum()))
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, indices = np.divmod(keys, dim)
+    weights = counts * model.idf[indices]
+    norms = np.sqrt(np.bincount(rows, weights=weights * weights, minlength=len(hits)))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(hits)))))
+    return Csr(indptr, indices, weights / norms[rows])
+
+
+def reference_encode_tokens(tokens, term_to_index: dict, max_len: int) -> list:
+    """Tokens as 1-based ids (0 is padding), out-of-vocabulary dropped, cut
+    after `max_len` ids."""
+    ids = [term_to_index[t] + 1 for t in tokens if t in term_to_index]
+    return ids[:max_len]
+
+
+def reference_sequence_data(docs, labels, term_to_index: dict, ids, max_len: int,
+                            drop_empty: bool) -> tuple:
+    """(sequences, float labels, kept ids) of the examples `ids` of the
+    token lists `docs`, one example at a time."""
+    sequences, values, kept = [], [], []
+    for i in ids:
+        seq = reference_encode_tokens(docs[i], term_to_index, max_len)
+        if drop_empty and not seq:
+            continue
+        sequences.append(seq)
+        values.append(float(int(labels[i])))
+        kept.append(i)
+    return sequences, np.array(values), kept
+
+
+def tfidf_of_tokens(model, docs) -> Csr:
+    """`tfidf_transform` of token lists, through the id rows they map to."""
+    return tfidf_transform(model, IdRows.from_tokens(docs, model.vocab.term_to_index))
+
+
+_LABEL_NAMES = {"Negative": 0, "Positive": 1}
+
+
+def read_examples(root: Path) -> list:
+    """The rows of the bundle's examples.jsonl, one json.loads per line. A
+    line that is not one row with a known label, a string raw and a list of
+    string tokens is a SchemaError naming the file and the line."""
+    path = Path(root) / "examples.jsonl"
+    rows = []
+    line_no = 0
+    try:
+        for line_no, line in enumerate(read_utf8(path).splitlines(), 1):
+            row = json.loads(line)
+            tokens, raw, _ = row["tokens"], row["raw"], _LABEL_NAMES[row["label"]]
+            if not (isinstance(tokens, list) and isinstance(raw, str)):
+                raise TypeError("tokens are not a list, or raw is not a string")
+            "".join(tokens)  # a TypeError unless every token is a string
+            rows.append(row)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"{path} is malformed at line {line_no}: {exc!r}") from exc
+    return rows
 
 
 # --- rnn model files: a JSON header at `path` and its blob `path`.f64 ----------

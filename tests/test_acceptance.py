@@ -22,6 +22,7 @@ from conftest import (
     make_labels,
     negation_pair_corpus,
     reference_smote,
+    tfidf_of_tokens,
     toy_template_corpus,
 )
 from edusent.evalmetrics import ConfusionMatrix, classification_metrics, roc_auc
@@ -29,7 +30,6 @@ from edusent.features import (
     build_vocabulary,
     chi2_from_counts,
     fit_tfidf,
-    tfidf_transform,
 )
 from edusent.ingest import SentimentLabel, split
 from edusent.linear import (
@@ -194,11 +194,11 @@ def test_criterion_4_sequence_vs_bag_separation():
         # bag-of-words baseline: identical bags force <= 0.5 on the pairs
         vocab = build_vocabulary(train_tokens)
         tfidf = fit_tfidf(vocab)
-        X_train = tfidf_transform(tfidf, train_tokens)
+        X_train = tfidf_of_tokens(tfidf, train_tokens)
         y_train = make_labels(train_labels)
         lr = train_lr(X_train, y_train, LinearTrainConfig(epochs=150),
                       dim=len(vocab)).model
-        lr_preds = [classify(p) for p in predict_proba(lr, tfidf_transform(tfidf, test_tokens))]
+        lr_preds = [classify(p) for p in predict_proba(lr, tfidf_of_tokens(tfidf, test_tokens))]
         lr_acc = float(np.mean([int(p) == t for p, t in zip(lr_preds, test_labels)]))
         assert lr_acc <= 0.55, f"LR accuracy {lr_acc} on ambiguous pairs"
 
@@ -238,7 +238,7 @@ def test_criterion_5_oracle_equivalences():
 
         vocab = build_vocabulary([["a", "b"], ["b"]])
         tfidf = fit_tfidf(vocab)
-        X = tfidf_transform(tfidf, [["a", "b"]])
+        X = tfidf_of_tokens(tfidf, [["a", "b"]])
         vec = dict(zip(X.indices.tolist(), X.values.tolist()))
         ia, ib = vocab.term_to_index["a"], vocab.term_to_index["b"]
         assert vec[ia] == pytest.approx(0.8148024746671689, abs=1e-12)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edusent.pipeline
+from conftest import read_examples
 from edusent.cli import main
 from edusent.errors import SchemaError
 from edusent.linear import LinearModel
@@ -62,19 +63,60 @@ def _edit_json(edit):
     return apply
 
 
-def _edit_first_example(edit):
+def _edit_term_ids(edit):
+    """A corruption of term_ids.bin: `edit(parts)` changes its parsed parts
+    in place: "digest" (bytes), "n_rows" (int), and the int32 arrays
+    "labels", "lengths" and "ids"."""
     def apply(path: Path) -> None:
-        lines = path.read_text().splitlines(keepends=True)
-        row = json.loads(lines[0])
-        edit(row)
-        path.write_text(json.dumps(row) + "\n" + "".join(lines[1:]))
+        raw = path.read_bytes()
+        n = int(np.frombuffer(raw, "<i4", 1, 32)[0])
+        body = np.frombuffer(raw, "<i4", offset=36).copy()
+        parts = {"digest": raw[:32], "n_rows": n, "labels": body[:n],
+                 "lengths": body[n:2 * n], "ids": body[2 * n:]}
+        edit(parts)
+        path.write_bytes(parts["digest"] + np.array(parts["n_rows"], "<i4").tobytes()
+                         + b"".join(parts[k].astype("<i4").tobytes()
+                                    for k in ("labels", "lengths", "ids")))
     return apply
 
 
-def _cut_third_line(path: Path) -> None:
-    lines = path.read_text().splitlines(keepends=True)
-    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
-    path.write_text("".join(lines))
+def _drop_last_row(parts) -> None:
+    n, lengths = parts["n_rows"] - 1, parts["lengths"]
+    parts.update(n_rows=n, labels=parts["labels"][:n], lengths=lengths[:n],
+                 ids=parts["ids"][:len(parts["ids"]) - lengths[n]])
+
+
+def _negative_length(parts) -> None:
+    """Row 0 gets length -1; row 1 takes the difference, so the sum holds."""
+    lengths = parts["lengths"]
+    lengths[1] += lengths[0] + 1
+    lengths[0] = -1
+
+
+def _set_item(key, index, value):
+    return lambda parts: parts[key].__setitem__(index, value)
+
+
+def _id_is_vocab_size(path: Path) -> None:
+    n_terms = len(json.loads((path.parent / "vocab.json").read_text())["terms"])
+    _edit_term_ids(_set_item("ids", 0, n_terms))(path)
+
+
+#: (id, corruption) of term_ids.bin
+TERM_IDS_CORRUPTIONS = [
+    ("cut-short", lambda path: path.write_bytes(path.read_bytes()[:-1])),
+    ("one-byte-long", lambda path: path.write_bytes(path.read_bytes() + b"\0")),
+    ("cut-before-ids", lambda path: path.write_bytes(path.read_bytes()[:-4])),
+    ("id-is-vocab-size", _id_is_vocab_size),
+    ("negative-id", _edit_term_ids(_set_item("ids", -1, -1))),
+    ("negative-length", _edit_term_ids(_negative_length)),
+    ("lengths-off-by-one", _edit_term_ids(lambda parts: parts["lengths"].__setitem__(
+        0, parts["lengths"][0] + 1))),
+    ("label-2", _edit_term_ids(_set_item("labels", 0, 2))),
+    ("fewer-rows-than-split", _edit_term_ids(_drop_last_row)),
+    ("other-vocab", _edit_term_ids(lambda parts: parts.update(
+        digest=hashlib.sha256(b"another vocab.json").digest()))),
+]
 
 
 def _set(key, value):
@@ -89,15 +131,17 @@ def _argv(root: Path, argv: list) -> list:
 TRAIN = ["train", "logreg", "--lr-epochs", "5"]
 PREDICT_LR = ["predict", "--model", "@model_logreg.json", TEXT]
 EVALUATE_LR = ["evaluate", "--no-plots", "--model", "@model_logreg.json"]
+TRAIN_RNN = ["train", "rnn", "--rnn-epochs", "1", "--embed-dim", "4", "--hidden-dim", "3",
+             "--attn-dim", "3"]
 SENSITIVITY = ["sensitivity", "--lr-model", "@model_logreg.json",
                "--rnn-model", "@model_rnn.json"]
 
 
 class TestMalformedArtifact:
     @pytest.mark.parametrize("name, corrupt, argv", [
-        ("examples.jsonl", _cut_third_line, TRAIN),
-        ("examples.jsonl", _edit_first_example(lambda r: r.pop("tokens")), TRAIN),
-        ("examples.jsonl", _edit_first_example(_set("label", "Meh")), TRAIN),
+        ("term_ids.bin", TERM_IDS_CORRUPTIONS[0][1], TRAIN),
+        ("term_ids.bin", _edit_term_ids(_set_item("ids", 0, -1)), EVALUATE_LR),
+        ("term_ids.bin", _edit_term_ids(_set_item("labels", 0, 2)), TRAIN_RNN),
         ("model_logreg.json", _edit_json(lambda p: p.pop("weights")), PREDICT_LR),
         ("model_logreg.json", _edit_json(_set("bias", "a")), PREDICT_LR),
         ("model_logreg.json", _edit_json(_set("bias", float("nan"))), PREDICT_LR),
@@ -113,7 +157,7 @@ class TestMalformedArtifact:
          ["predict", "--model", "@model_rnn.json", TEXT]),
         ("eval.json", lambda path: path.write_text('{"version": 1}'),
          ["compare", "@eval.json", "@eval.json"]),
-    ], ids=["examples-cut-line", "examples-no-tokens", "examples-unknown-label",
+    ], ids=["term-ids-cut-short", "term-ids-negative-id-evaluate", "term-ids-label-2-rnn",
             "logreg-no-weights", "logreg-string-bias", "logreg-nan-bias",
             "logreg-narrow-predict", "logreg-narrow-evaluate", "vocab-short-idf",
             "split-no-test-ids", "split-id-out-of-range", "split-list",
@@ -142,13 +186,64 @@ class TestMalformedArtifact:
         assert path.read_bytes() == before
 
 
-class TestExamplesFile:
-    """examples.jsonl is parsed a block of lines per call; a malformed line
-    is still named."""
+class TestTermIdsFile:
+    """term_ids.bin is checked before any value is used: a bad file is a
+    SchemaError that names it and says to re-run prepare, and `train` exits
+    2 without a traceback."""
 
-    @pytest.fixture(autouse=True, params=[2, 3, 512])
-    def block(self, request, monkeypatch):
-        monkeypatch.setattr(edusent.pipeline, "_PARSE_BLOCK", request.param)
+    @pytest.mark.parametrize("corrupt", [c for _, c in TERM_IDS_CORRUPTIONS],
+                             ids=[name for name, _ in TERM_IDS_CORRUPTIONS])
+    def test_bad_file_is_named(self, bundle_dir, capsys, corrupt):
+        path = bundle_dir / "term_ids.bin"
+        corrupt(path)
+        with pytest.raises(SchemaError) as info:
+            load_bundle(bundle_dir)
+        message = str(info.value)
+        assert str(path) in message and "re-run prepare" in message
+        assert main([*TRAIN, "--out", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_missing_file_says_to_prepare(self, bundle_dir, capsys):
+        (bundle_dir / "term_ids.bin").unlink()
+        assert main([*TRAIN, "--out", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(bundle_dir / "term_ids.bin") in err and "re-run prepare" in err
+
+    @pytest.mark.parametrize("leak", ["overlap", "repeat", "both"])
+    def test_leaking_split_is_refused(self, bundle_dir, capsys, leak):
+        """A split.json whose train_ids repeat an id, or hold test ids, makes
+        train and evaluate exit 2 naming it."""
+        _write_models(bundle_dir)
+        path = bundle_dir / "split.json"
+        split = json.loads(path.read_text())
+        extra = {"overlap": split["test_ids"][:5], "repeat": split["train_ids"][:3],
+                 "both": split["test_ids"][:5] + split["train_ids"][:3]}[leak]
+        split["train_ids"] += extra
+        path.write_text(json.dumps(split))
+        for argv in (TRAIN, EVALUATE_LR):
+            assert main([*_argv(bundle_dir, argv), "--out", str(bundle_dir)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "names an example twice" in err
+
+
+class TestExamplesFile:
+    """examples.jsonl is the record of the cleaned text and tokens. No
+    command reads it back: `read_examples`, the tests' reader, names a
+    malformed line, and `train` reads term_ids.bin and runs regardless.
+    Each test runs on bundles of a 2-, 3- and 512-term vocabulary (the
+    sample holds 106 candidate terms)."""
+
+    @pytest.fixture(params=[2, 3, 512])
+    def k(self, request) -> int:
+        return request.param
+
+    @pytest.fixture()
+    def bundle(self, k, tmp_path, sample_csv) -> Path:
+        out = tmp_path / "bundle"
+        assert main(["prepare", "--data", str(sample_csv), "--out", str(out),
+                     "--k", str(k), "--seed", "7"]) == 0
+        return out
 
     @staticmethod
     def _rewrite_line(root: Path, line_no: int, text: str) -> str:
@@ -166,32 +261,38 @@ class TestExamplesFile:
         (5, '{"id": 4, "label": "Negative", "raw": "a", "tokens": []}, {"id": 5}',
          "JSONDecodeError('Extra data: line 1 column 57 (char 56)')"),
     ], ids=["cut", "blank", "unknown-label", "int-token", "two-rows"])
-    def test_error_names_the_line(self, bundle_dir, line_no, text, error):
-        path = self._rewrite_line(bundle_dir, line_no, text)
+    def test_error_names_the_line(self, bundle, capsys, line_no, text, error):
+        path = self._rewrite_line(bundle, line_no, text)
         with pytest.raises(SchemaError) as info:
-            load_bundle(bundle_dir)
+            read_examples(bundle)
         message = str(info.value)
         assert message.startswith(f"{path} is malformed at line {line_no}: {error}")
+        assert main([*TRAIN, "--out", str(bundle)]) == 0
+        assert "examples.jsonl" not in capsys.readouterr().err
 
-    def test_not_utf8_names_the_byte(self, bundle_dir, capsys):
-        path = bundle_dir / "examples.jsonl"
+    def test_not_utf8_names_the_byte(self, bundle, capsys):
+        path = bundle / "examples.jsonl"
         text = path.read_bytes()
         path.write_bytes(text[:100] + b"\xff" + text[100:])
         with pytest.raises(SchemaError) as info:
-            load_bundle(bundle_dir)
+            read_examples(bundle)
         assert str(info.value) == f"{path} is not UTF-8 text: invalid start byte at byte 100"
-        assert main([*TRAIN, "--out", str(bundle_dir)]) == 2
-        err = capsys.readouterr().err
-        assert str(info.value) in err and len(err) < len(str(info.value)) + 100
+        assert main([*TRAIN, "--out", str(bundle)]) == 0
+        assert "examples.jsonl" not in capsys.readouterr().err
 
-    def test_rows_match_a_per_line_parse(self, bundle_dir):
-        lines = (bundle_dir / "examples.jsonl").read_text().splitlines()
-        examples = load_bundle(bundle_dir).examples
-        assert len(examples) == len(lines) > 3
-        for example, line in zip(examples, lines):
-            row = json.loads(line)
-            assert (example.tokens, example.raw_comment, str(example.label)) == \
-                (row["tokens"], row["raw"], row["label"])
+    def test_rows_match_a_per_line_parse(self, bundle, k):
+        """Each row of term_ids.bin holds its example's label and
+        in-vocabulary tokens, in token order, as examples.jsonl and
+        vocab.json record them."""
+        loaded = load_bundle(bundle)
+        t2i = loaded.tfidf.vocab.term_to_index
+        examples = read_examples(bundle)
+        assert len(t2i) == min(k, 106)
+        assert len(loaded.rows) == len(loaded.labels) == len(examples) > 3
+        for i, ex in enumerate(examples):
+            got = loaded.rows.ids[loaded.rows.indptr[i]:loaded.rows.indptr[i + 1]]
+            assert got.tolist() == [t2i[t] for t in ex["tokens"] if t in t2i]
+            assert loaded.labels[i] == (ex["label"] == "Positive")
 
 
 class _FullDisk:
@@ -245,11 +346,29 @@ class TestAtomicWrite:
         assert (bundle_dir / "examples.jsonl").read_bytes() == old
         assert sorted(p.name for p in bundle_dir.iterdir()) == sorted(BUNDLE_FILES)
 
+    def test_prepare_cut_at_term_ids_leaves_a_pair_train_refuses(
+            self, bundle_dir, sample_csv, monkeypatch, capsys):
+        """A prepare stopped while it writes term_ids.bin leaves the new
+        vocab.json beside the old term ids, whose digest it does not match.
+        (The sample holds 106 candidate terms, so --k 50 changes vocab.json
+        where --k 300 would not.)"""
+        old_vocab = (bundle_dir / "vocab.json").read_bytes()
+        self._fill_disk_after(monkeypatch, 0, "term_ids.bin", KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["prepare", "--data", str(sample_csv), "--out", str(bundle_dir),
+                  "--k", "50", "--seed", "7"])
+        monkeypatch.undo()
+        assert (bundle_dir / "vocab.json").read_bytes() != old_vocab
+        assert not [p.name for p in bundle_dir.iterdir() if p.name.endswith(".tmp")]
+        assert main([*TRAIN, "--out", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bundle_dir / 'term_ids.bin'} was built against another "
+                       "vocab.json: re-run prepare to write it again\n")
+
     @pytest.mark.parametrize("name, argv", [
         ("chi2_report.csv", ["prepare", "--data", "@sample.csv", "--k", "400"]),
         ("train_log_logreg.csv", TRAIN),
-        ("train_log_rnn.csv", ["train", "rnn", "--rnn-epochs", "1", "--embed-dim", "4",
-                               "--hidden-dim", "3", "--attn-dim", "3"]),
+        ("train_log_rnn.csv", TRAIN_RNN),
         ("roc_logreg.svg", ["evaluate", "--model", "@model_logreg.json"]),
         ("confusion_logreg.svg", ["evaluate", "--model", "@model_logreg.json"]),
         ("sensitivity.csv", SENSITIVITY),
@@ -305,13 +424,17 @@ def test_sample_files_resave_byte_identical(bundle_dir, tmp_path):
 
 #: SHA-256 of the bundle files that `prepare --k 5000 --seed 0` writes from
 #: the sample CSV. vocab.json is pinned by its terms and df only: its idf
-#: goes through np.log, whose last bit may differ between hosts.
+#: goes through np.log, whose last bit may differ between hosts. So
+#: term_ids.bin is pinned after its first 32 bytes, the raw SHA-256 of
+#: vocab.json, which is checked against the file.
 SAMPLE_BUNDLE_SHA256 = {
     "examples.jsonl": "75e0a910bb0d83a96f709eb2f41a87de7c5b039ccfb66bd4d6bce5dad86fa854",
     "chi2_report.csv": "4aae938d4b075f389a833e5474d314c6f3f7c35da2493be32013a73eafed185f",
     "split.json": "63d3d1092ea3362eddbe83b2eed3036f1867b7e67d90e217b32046c418123114",
     "balance.json": "21063b90c3c5ff602003f1def113b481a0b522c87dedc00a032489fb5671f037",
     "drop_report.json": "5717a6114aa30b2801dc7c89bc18acc5bd180f0bfe75e51c8b93e550a3b4fbf2",
+    "term_ids.bin after its vocab.json digest":
+        "917ac59441e7541b5503dc28b931be8f2b8ef3c25477682fccc469c22ad63482",
     "vocab.json terms, df": "23472ecc577fa88b0f0b32ec99e6824604045b13b5d37d64157bd2d56c2c0dd9",
 }
 
@@ -321,10 +444,13 @@ def test_sample_bundle_bytes_are_pinned(sample_csv, tmp_path):
                  "--k", "5000", "--seed", "0"]) == 0
     vocab = json.loads((tmp_path / "vocab.json").read_text(encoding="utf-8"))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in SAMPLE_BUNDLE_SHA256 if not name.startswith("vocab")}
+           for name in SAMPLE_BUNDLE_SHA256 if " " not in name}
     got["vocab.json terms, df"] = hashlib.sha256(
         json.dumps([vocab["terms"], vocab["df"]]).encode()).hexdigest()
+    term_ids = (tmp_path / "term_ids.bin").read_bytes()
+    got["term_ids.bin after its vocab.json digest"] = hashlib.sha256(term_ids[32:]).hexdigest()
     assert got == SAMPLE_BUNDLE_SHA256
+    assert term_ids[:32] == hashlib.sha256((tmp_path / "vocab.json").read_bytes()).digest()
 
 
 #: any code point, lone surrogates included, with the ones JSON escapes
@@ -347,6 +473,7 @@ def test_example_line_is_the_json_encoders(i, label, raw, tokens):
 
 FUZZ_READERS = {
     "examples.jsonl": TRAIN,
+    "term_ids.bin": TRAIN,
     "vocab.json": TRAIN,
     "split.json": TRAIN,
     "model_logreg.json": PREDICT_LR,
@@ -376,9 +503,14 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _mutate(raw: bytes, jsonl: bool, data) -> bytes:
+def _mutate(raw: bytes, name: str, data) -> bytes:
     if data.draw(st.booleans(), label="truncate"):
         return raw[: data.draw(st.integers(0, len(raw) - 1), label="cut at")]
+    if name.endswith(".bin"):  # one int32 of the header or body set to an edge value
+        at = data.draw(st.integers(32, len(raw) - 4), label="at")
+        value = data.draw(st.sampled_from([-1, 0, 2, 2**31 - 1, -2**31]), label="value")
+        return raw[:at] + np.array(value, "<i4").tobytes() + raw[at + 4:]
+    jsonl = name.endswith(".jsonl")
     text = raw.decode("utf-8")
     doc = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
     path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
@@ -397,7 +529,7 @@ def _mutate(raw: bytes, jsonl: bool, data) -> bytes:
 @given(data=st.data())
 def test_mutated_artifact_exits_cleanly(fuzz_bundle, name, data):
     root, pristine = fuzz_bundle
-    mutated = _mutate(pristine[name], name.endswith(".jsonl"), data)
+    mutated = _mutate(pristine[name], name, data)
     try:
         (root / name).write_bytes(mutated)
         rc = main([*_argv(root, FUZZ_READERS[name]), "--out", str(root)])

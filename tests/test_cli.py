@@ -23,6 +23,8 @@ from conftest import (
     edit_rnn_pair,
     flip_byte,
     header_edit,
+    make_labels,
+    read_examples,
     set_value,
     version_2_payload,
 )
@@ -63,10 +65,11 @@ class TestPrepare:
         assert report["retained"] == 38
 
     def test_chi2_report_scores_are_numbers(self, bundle_dir):
-        bundle = load_bundle(bundle_dir)
-        train = bundle.subset(bundle.train_ids)
-        vocab = build_vocabulary([ex.tokens for ex in train])
-        scores = chi2_scores(vocab, [ex.label for ex in train]).score
+        examples = read_examples(bundle_dir)
+        train = [examples[i] for i in load_bundle(bundle_dir).train_ids]
+        vocab = build_vocabulary([ex["tokens"] for ex in train])
+        scores = chi2_scores(vocab, make_labels([ex["label"] == "Positive"
+                                                 for ex in train])).score
         lines = (bundle_dir / "chi2_report.csv").read_text().splitlines()
         assert lines[0] == "term,score"
         rows = [line.split(",") for line in lines[1:]]
@@ -502,29 +505,32 @@ class TestMalformedRnnModel:
 
 class TestSensitivity:
     def test_each_model_parsed_and_hashed_once(self, trained_dir, monkeypatch):
-        calls = {"read_json": 0, "file_sha256": 0}
-        # each name is patched where its caller looks it up; vocab.json
-        # parses also go through read_json, so only model files count
+        """Each model file is parsed once, and the vocab.json both models
+        sit beside is parsed and hashed once."""
+        calls = {}
+        # each name is patched where its caller looks it up
         for module, name in ((edusent.pipeline, "read_json"), (edusent.cli, "file_sha256")):
             real = getattr(module, name)
 
             def counted(path, _real=real, _name=name, **kwargs):
-                if _name != "read_json" or Path(path).name.startswith("model_"):
-                    calls[_name] += 1
+                key = (_name, Path(path).name)
+                calls[key] = calls.get(key, 0) + 1
                 return _real(path, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         assert main(["sensitivity", "--out", str(trained_dir), "--no-plots",
                      "--lr-model", str(trained_dir / "model_logreg.json"),
                      "--rnn-model", str(trained_dir / "model_rnn.json")]) == 0
-        assert calls == {"read_json": 2, "file_sha256": 2}
+        assert calls == {("read_json", "model_logreg.json"): 1,
+                         ("read_json", "model_rnn.json"): 1,
+                         ("read_json", "vocab.json"): 1, ("file_sha256", "vocab.json"): 1}
 
     def test_values_are_predict_values(self, trained_dir, tmp_path, capsys):
         # the bundle's comments have mixed lengths, so a batched RNN score
         # can differ from a one-row score in the last bits
         sentences = tmp_path / "sentences.txt"
-        sentences.write_text("".join(" ".join(ex.raw_comment.split()) + "\n"
-                                     for ex in load_bundle(trained_dir).examples))
+        sentences.write_text("".join(" ".join(ex["raw"].split()) + "\n"
+                                     for ex in read_examples(trained_dir)))
         assert main(["sensitivity", "--out", str(tmp_path), "--no-plots",
                      "--sentences", str(sentences),
                      "--lr-model", str(trained_dir / "model_logreg.json"),

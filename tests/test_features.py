@@ -4,12 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import chi2_bruteforce, make_labels, reference_vocabulary_chi2
+from conftest import (
+    chi2_bruteforce,
+    make_labels,
+    reference_sequence_data,
+    reference_tfidf_transform,
+    reference_vocabulary_chi2,
+    tfidf_of_tokens,
+)
 from edusent.errors import ValidationError
 from edusent.features import (
     Chi2Scores,
+    IdRows,
     Vocabulary,
     build_vocabulary,
     chi2_from_counts,
@@ -19,7 +27,7 @@ from edusent.features import (
     select_top_k,
     tfidf_transform,
 )
-from edusent.pipeline import load_tfidf_model, save_tfidf_model
+from edusent.pipeline import Bundle, load_tfidf_model, save_tfidf_model, sequence_data
 
 
 class TestVocabulary:
@@ -59,6 +67,9 @@ class TestVocabulary:
         assert v.terms == terms
         assert v.doc_freq.tolist() == [sum(t in doc for doc in corpus) for t in terms]
         assert v.term_to_index == {t: i for i, t in enumerate(terms)}
+        bounds = v.corpus.indptr.tolist()
+        assert [v.corpus.ids[a:b].tolist() for a, b in zip(bounds, bounds[1:])] == [
+            [terms.index(t) for t in doc] for doc in corpus]
 
 
 def tfidf_reference(model, doc) -> list:
@@ -82,7 +93,7 @@ class TestTfidf:
         v = build_vocabulary([["a"], ["a"], ["a"]])
         model = fit_tfidf(v)
         assert model.idf[0] == pytest.approx(1.0, abs=0)
-        assert row(tfidf_transform(model, [["a"]]), 0) == {0: 1.0}
+        assert row(tfidf_of_tokens(model, [["a"]]), 0) == {0: 1.0}
 
     def test_two_document_hand_example(self):
         # corpus [[a, b], [b]]: idf(a) = ln(3/2) + 1, idf(b) = ln(3/3) + 1 = 1
@@ -91,14 +102,14 @@ class TestTfidf:
         ia, ib = v.term_to_index["a"], v.term_to_index["b"]
         assert model.idf[ia] == pytest.approx(1.4054651081081644, abs=1e-12)
         assert model.idf[ib] == pytest.approx(1.0, abs=0)
-        vec = row(tfidf_transform(model, [["a", "b"]]), 0)
+        vec = row(tfidf_of_tokens(model, [["a", "b"]]), 0)
         assert vec[ia] == pytest.approx(0.8148024746671689, abs=1e-12)
         assert vec[ib] == pytest.approx(0.5797386715376657, abs=1e-12)
 
     def test_oov_only_doc_is_zero_vector(self):
         v = build_vocabulary([["a", "b"], ["b"]])
         model = fit_tfidf(v)
-        X = tfidf_transform(model, [["zzz", "qqq"]])
+        X = tfidf_of_tokens(model, [["zzz", "qqq"]])
         assert X.indptr.tolist() == [0, 0] and X.indices.size == 0
 
     def test_unit_norm_or_zero(self):
@@ -107,7 +118,7 @@ class TestTfidf:
                   for _ in range(40)]
         v = build_vocabulary(corpus)
         model = fit_tfidf(v)
-        X = tfidf_transform(model, corpus + [[]])
+        X = tfidf_of_tokens(model, corpus + [[]])
         for i in range(len(corpus)):
             norm = np.linalg.norm(list(row(X, i).values()))
             assert norm == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +127,7 @@ class TestTfidf:
     def test_counts_scale_weights(self):
         v = build_vocabulary([["a", "b"], ["b"]])
         model = fit_tfidf(v)
-        X = tfidf_transform(model, [["a", "b"], ["a", "a", "b", "b"]])
+        X = tfidf_of_tokens(model, [["a", "b"], ["a", "a", "b", "b"]])
         single, doubled = row(X, 0), row(X, 1)
         for idx in single:
             assert doubled[idx] == pytest.approx(single[idx], abs=1e-12)
@@ -127,10 +138,11 @@ class TestTfidf:
                   for _ in range(60)]
         vocab = build_vocabulary(corpus)
         scores = chi2_scores(vocab, make_labels([i % 2 for i in range(60)]))
-        model = fit_tfidf(select_top_k(scores, vocab, 25))  # some corpus terms are OOV
+        # some corpus terms are OOV
+        model = fit_tfidf(select_top_k(rank_terms(scores, vocab), vocab, 25))
         docs = corpus + [[], ["oov", "zzz"], ["oov"] + corpus[0]]
         docs = [docs[i] for i in rng.permutation(len(docs))]
-        X = tfidf_transform(model, docs)
+        X = tfidf_of_tokens(model, docs)
         want_ptr, want_idx, want_val = [0], [], []
         for doc in docs:
             for i, w in tfidf_reference(model, doc):
@@ -142,7 +154,7 @@ class TestTfidf:
         assert X.values.tolist() == want_val  # bit for bit
 
     def test_no_documents(self):
-        X = tfidf_transform(fit_tfidf(build_vocabulary([["a"]])), [])
+        X = tfidf_of_tokens(fit_tfidf(build_vocabulary([["a"]])), [])
         assert X.indptr.tolist() == [0] and X.indices.size == 0 and X.values.size == 0
 
     def test_round_trip(self, tmp_path):
@@ -156,6 +168,48 @@ class TestTfidf:
         np.testing.assert_array_equal(loaded.idf, model.idf)
         payload = json.loads(path.read_text())
         assert payload["version"] == 1 and payload["n_docs"] == 3
+
+
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "oov", "zzz"])
+
+
+class TestIdPath:
+    """The id path against the token path it replaced: TF-IDF rows and RNN
+    sequences of id rows equal those of the token lists they map from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(st.lists(_TOKENS, max_size=12), max_size=8),
+           max_len=st.integers(1, 6), drop_empty=st.booleans(), data=st.data())
+    def test_matches_token_reference(self, docs, max_len, drop_empty, data):
+        # always: an empty document, an OOV-only one, and one of repeats past max_len
+        docs = docs + [[], ["oov", "zzz"], ["a", "oov", "b"] * 4]
+        docs = data.draw(st.permutations(docs), label="docs")
+        vocab = Vocabulary(terms=["c", "a", "d", "b"], doc_freq=np.array([1, 3, 2, 4]),
+                           n_docs=5)
+        model = fit_tfidf(vocab)
+        rows = IdRows.from_tokens(docs, vocab.term_to_index)
+        got, want = tfidf_transform(model, rows), reference_tfidf_transform(model, docs)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.values, want.values)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # bit for bit
+
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(docs),
+                                    max_size=len(docs)), label="labels")
+        ids = data.draw(st.lists(st.integers(0, len(docs) - 1), unique=True), label="ids")
+        bundle = Bundle(rows=rows, labels=np.array(labels, dtype="<i4"), tfidf=model,
+                        vocab_ref="", train_ids=[], test_ids=[])
+        ds, kept = sequence_data(bundle, ids, max_len, drop_empty)
+        want_seqs, want_labels, want_kept = reference_sequence_data(
+            docs, labels, vocab.term_to_index, ids, max_len, drop_empty)
+        assert ds.sequences == want_seqs and kept == want_kept
+        assert ds.labels.dtype == want_labels.dtype
+        assert ds.labels.tolist() == want_labels.tolist()
+
+    def test_take_and_remap(self):
+        rows = IdRows.from_tokens([["a", "b"], [], ["b", "x", "b"]], {"a": 0, "b": 1})
+        assert rows.indptr.tolist() == [0, 2, 2, 4] and rows.ids.tolist() == [0, 1, 1, 1]
+        assert rows.take([2, 0, 2, 1]).sequences(9) == [[2, 2], [1, 2], [2, 2], []]
+        assert rows.remap(np.array([-1, 5])).sequences(9) == [[6], [], [6, 6]]
 
 
 class TestChi2:
@@ -239,7 +293,7 @@ class TestChi2:
         v = build_vocabulary([["a"], ["b"]])
         with pytest.raises(ValidationError, match="one label per document"):
             chi2_scores(v, make_labels([1, 0, 1]))
-        selected = select_top_k(chi2_scores(v, make_labels([1, 0])), v, 1)
+        selected = select_top_k(rank_terms(chi2_scores(v, make_labels([1, 0])), v), v, 1)
         with pytest.raises(ValidationError, match="built by build_vocabulary"):
             chi2_scores(selected, make_labels([1, 0]))
 
@@ -259,14 +313,14 @@ class TestSelectTopK:
 
     def test_keeps_highest(self):
         v, s = self._vocab_scores()
-        out = select_top_k(s, v, 2)
+        out = select_top_k(rank_terms(s, v), v, 2)
         assert out.terms == ["a", "c"]
         assert out.term_to_index == {"a": 0, "c": 1}
         assert list(out.doc_freq) == [2, 1]
 
     def test_k_at_least_vocab_is_identity(self):
         v, s = self._vocab_scores()
-        out = select_top_k(s, v, 10)
+        out = select_top_k(rank_terms(s, v), v, 10)
         assert set(out.terms) == set(v.terms)
         assert sorted(out.term_to_index.values()) == [0, 1, 2]
 
@@ -275,7 +329,7 @@ class TestSelectTopK:
 
         v = Vocabulary(terms=["y", "x"], doc_freq=np.array([1, 1]), n_docs=2)
         s = Chi2Scores(score=np.array([1.0, 1.0]))
-        assert select_top_k(s, v, 1).terms == ["x"]
+        assert select_top_k(rank_terms(s, v), v, 1).terms == ["x"]
 
     def test_selection_is_superset_maximum(self):
         rng = np.random.default_rng(3)
@@ -284,7 +338,7 @@ class TestSelectTopK:
         terms = [f"t{i:02d}" for i in range(30)]
         v = Vocabulary(terms=terms, doc_freq=np.ones(30, dtype=np.int64), n_docs=5)
         s = Chi2Scores(score=rng.uniform(0, 10, size=30))
-        out = select_top_k(s, v, 12)
+        out = select_top_k(rank_terms(s, v), v, 12)
         inside = min(s.score[terms.index(t)] for t in out.terms)
         outside = max(s.score[terms.index(t)] for t in terms if t not in out.term_to_index)
         assert inside >= outside
@@ -308,4 +362,4 @@ class TestSelectTopK:
     def test_bad_k(self):
         v, s = self._vocab_scores()
         with pytest.raises(ValidationError):
-            select_top_k(s, v, 0)
+            select_top_k(rank_terms(s, v), v, 0)

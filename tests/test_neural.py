@@ -25,6 +25,7 @@ from conftest import (
 )
 
 from edusent.errors import SchemaError, ValidationError
+from edusent.features import IdRows
 from edusent.neural import (
     NeuralTrainConfig,
     RnnDims,
@@ -36,7 +37,6 @@ from edusent.neural import (
     build_batch,
     dataset_loss,
     embed,
-    encode_tokens,
     forward,
     init_model,
     lstm_step,
@@ -307,8 +307,9 @@ class TestBatches:
 
     def test_encode_tokens(self):
         t2i = {"good": 0, "class": 4}
-        assert encode_tokens(["good", "zzz", "class"], t2i, max_len=8) == [1, 5]
-        assert encode_tokens(["zzz"], t2i, max_len=8) == []
+        rows = IdRows.from_tokens([["good", "zzz", "class"], ["zzz"], ["class"] * 3], t2i)
+        assert rows.sequences(max_len=8) == [[1, 5], [], [5, 5, 5]]
+        assert rows.sequences(max_len=2) == [[1, 5], [], [5, 5]]
 
     def test_predict_sequences_bias_path_for_empty(self):
         model = init_model(DIMS, seed=12)

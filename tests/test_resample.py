@@ -171,9 +171,8 @@ class TestSmoteSparse:
                      "--k", "300", "--seed", "7"]) == 0
         bundle = load_bundle(out)
         dim = len(bundle.tfidf.vocab)
-        train = bundle.subset(bundle.train_ids)
-        X = tfidf_transform(bundle.tfidf, [ex.tokens for ex in train])
-        y = [ex.label for ex in train]
+        X = tfidf_transform(bundle.tfidf, bundle.rows.take(bundle.train_ids))
+        y = bundle.labels_of(bundle.train_ids)
         dense = dense_rows(X, dim)
         minority_label = min(set(y), key=y.count)
         minority = dense[[lab == minority_label for lab in y]]
